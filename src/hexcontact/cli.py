@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import re
 import sys
@@ -34,6 +35,7 @@ from .lattice import (
     to_cartesian,
 )
 from .search import (
+    FrontierExhaustedError,
     Window,
     exhaustive_sweep,
     greedy_sweep,
@@ -128,6 +130,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_exhaustive(args: argparse.Namespace) -> int:
     window = args.window
+    if args.n < 0:
+        raise ValueError(f"--n must be 0 or more, got {args.n}")
     if window.point_count > args.cap_points:
         print(
             f"window has {window.point_count} points, above the cap of {args.cap_points}; "
@@ -154,7 +158,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         print(f"  nodes={nodes} best={best} pruned={100.0 * pruned / nodes:.1f}%", file=sys.stderr)
 
     rec = exhaustive_sweep(window, args.n, grids, progress=progress if subsets > 10**6 else None)
-    grid_desc = descriptor(rec.configuration.lattice) if rec.configuration else "-"
+    grid_desc = descriptor(rec.configuration.lattice) if rec.configuration is not None else "-"
     print(f"n={rec.n} maximum contacts: {rec.best_contacts} (grid {grid_desc})")
     if rec.configuration is not None:
         out = _outdir(args)
@@ -290,12 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, FrontierExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

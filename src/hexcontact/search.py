@@ -12,6 +12,13 @@ is the grid's mirror orientation.  A grid and its sign-flipped twin therefore
 produce mirror-image runs with identical contact counts, so sweeping only the
 grids normalized to a +1 first upward sign loses nothing.
 
+A run reads its grid only through the neighbor offsets of the layers its
+balls reach, so grids that agree on those make the same run.  A sweep
+therefore starts one shared run per kind and orientation and splits it,
+copying frontier and random state, when a ball reaches a layer whose offsets
+differ among the grids still sharing it.  The frontier is bucketed by
+contact count, so a step finds its best candidates without a full scan.
+
 The exact search enumerates n-subsets of a finite coordinate window depth
 first in (k, i, j) point order, pruning a branch when its contact count plus
 an optimistic bound on the remaining additions cannot beat the best subset
@@ -25,7 +32,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .contact import Configuration
 from .lattice import (
@@ -93,69 +100,133 @@ class GreedyParams:
             raise ValueError("start violates horizontal bound")
 
 
-def _offsets_by_layer(lattice: Lattice) -> tuple[Sequence[tuple[Point, ...]], int]:
-    """Per-layer neighbor offsets plus the layer index of the first entry."""
-    if isinstance(lattice, Hexagonal):
-        seq = lattice.seq
-        return [hex_layer_offsets(seq, k) for k in seq.layers], seq.t1
-    return [OCT_OFFSETS], 0
+def _lattice_id(lattice: Lattice) -> int:
+    """Sweep tie-break id: the grid id for hexagonal grids, -1 for octahedral."""
+    return grid_id(lattice.seq) if isinstance(lattice, Hexagonal) else -1
 
 
-def _greedy_run(
-    lattice: Lattice,
-    n_max: int,
-    rng: random.Random | None,
-    start: Point,
-    bound: int,
-) -> tuple[list[Point], list[int]]:
-    """Core greedy loop.  Returns the placed balls and the running contact
-    totals (``curve[m]`` is the contact count of the first m balls)."""
-    offsets, t_low = _offsets_by_layer(lattice)
-    single_layer_table = isinstance(lattice, Octahedral)
-    sign = 1 if single_layer_table else orientation(lattice.seq)
+class _Grid:
+    """One grid of a greedy run or sweep: its position in the input, its
+    tie-break id, and its neighbor offsets per layer in key coordinates."""
 
-    if sign == 1:
-        tie_key = lambda p: (p[2], p[0], p[1])
-    else:
-        tie_key = lambda p: (p[2], -p[0], -p[1])
+    __slots__ = ("index", "lattice", "gid", "sign", "_offsets")
 
-    chosen = [start]
-    chosen_set = {start}
-    cand: dict[Point, int] = {}
-    curve = [0, 0]
-    total = 0
+    def __init__(self, index: int, lattice: Lattice):
+        self.index = index
+        self.lattice = lattice
+        self.gid = _lattice_id(lattice)
+        self.sign = orientation(lattice.seq) if isinstance(lattice, Hexagonal) else 1
+        self._offsets: dict[int, tuple[Point, ...]] = {}
 
-    def absorb(p: Point) -> None:
-        i, j, k = p
-        offs = offsets[0] if single_layer_table else offsets[k - t_low]
-        for di, dj, dk in offs:
-            q = (i + di, j + dj, k + dk)
-            if q in chosen_set:
+    def offsets(self, k: int) -> tuple[Point, ...]:
+        """Offsets (dk, s*di, s*dj) from layer k, computed on first use."""
+        offs = self._offsets.get(k)
+        if offs is None:
+            lattice, s = self.lattice, self.sign
+            raw = hex_layer_offsets(lattice.seq, k) if isinstance(lattice, Hexagonal) else OCT_OFFSETS
+            offs = self._offsets[k] = tuple((dk, s * di, s * dj) for di, dj, dk in raw)
+        return offs
+
+
+@dataclass
+class _Branch:
+    """One greedy run, shared by every grid in ``grids``.
+
+    Points are stored as keys (k, s*i, s*j), so the lexicographic tie rule is
+    plain tuple order.  ``counts`` maps each frontier key to the number of
+    placed balls it touches and each placed key to -1; ``buckets[c]`` holds
+    the frontier keys touching c balls.  The last placed ball is not yet
+    absorbed into the frontier.  ``layers`` holds the offsets of every layer
+    reached so far, on which all of ``grids`` agree.
+    """
+
+    grids: list[_Grid]
+    rng: random.Random | None
+    counts: dict[Point, int]
+    buckets: list[set[Point]]
+    placed: list[Point]
+    curve: list[int]
+    layers: dict[int, tuple[Point, ...]]
+
+    @classmethod
+    def start(cls, grids: list[_Grid], rng: random.Random | None, point: Point) -> "_Branch":
+        """A run whose first ball is ``point``."""
+        key = (point[2], grids[0].sign * point[0], grids[0].sign * point[1])
+        return cls(grids, rng, {key: -1}, [set() for _ in range(13)], [key], [0, 0], {})
+
+    def fork(self, grids: list[_Grid]) -> "_Branch":
+        """A copy of this run for a subset of its grids."""
+        rng = None
+        if self.rng is not None:
+            rng = random.Random()
+            rng.setstate(self.rng.getstate())
+        return _Branch(
+            grids, rng, dict(self.counts), [set(b) for b in self.buckets],
+            self.placed[:], self.curve[:], dict(self.layers),
+        )
+
+
+def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
+    """Run ``branch`` to ``n_max`` balls, depth first over its splits.
+
+    All grids of a branch share one orientation.  When a ball reaches a layer
+    whose offsets differ among the grids, the branch splits by those offsets;
+    every part but the last continues in a copy.  Yields each finished run.
+    """
+    grids, rng, counts, buckets = branch.grids, branch.rng, branch.counts, branch.buckets
+    placed, curve, layers = branch.placed, branch.curve, branch.layers
+    total = curve[-1]
+    top = 12
+    p = placed[-1]
+    while len(placed) < n_max:
+        k, a, b = p
+        offs = layers.get(k)
+        if offs is None:
+            parts: dict[tuple[Point, ...], list[_Grid]] = {}
+            for g in grids:
+                parts.setdefault(g.offsets(k), []).append(g)
+            *forks, (offs, grids) = parts.items()
+            for fork_offs, part in forks:
+                child = branch.fork(part)
+                child.layers[k] = fork_offs
+                yield from _walk(child, n_max, bound)
+            branch.grids = grids
+            layers[k] = offs
+        for dk, da, db in offs:
+            q = (k + dk, a + da, b + db)
+            c = counts.get(q, 0)
+            if c < 0:
                 continue
-            if bound and (abs(q[0]) > bound or abs(q[1]) > bound):
+            if c:
+                buckets[c].remove(q)
+            elif bound and (abs(q[1]) > bound or abs(q[2]) > bound):
                 continue
-            cand[q] = cand.get(q, 0) + 1
-
-    absorb(start)
-    while len(chosen) < n_max:
-        if not cand:
-            raise FrontierExhaustedError(len(chosen), n_max)
-        best_delta = max(cand.values())
-        tied = [p for p, d in cand.items() if d == best_delta]
-        if len(tied) == 1:
-            pick = tied[0]
-        elif rng is None:
-            pick = min(tied, key=tie_key)
+            c += 1
+            counts[q] = c
+            buckets[c].add(q)
+            if c > top:
+                top = c
+        while top and not buckets[top]:
+            top -= 1
+        if not top:
+            raise FrontierExhaustedError(len(placed), n_max)
+        tied = buckets[top]
+        if len(tied) == 1 or rng is None:
+            p = min(tied)
         else:
-            tied.sort(key=tie_key)
-            pick = tied[rng.randrange(len(tied))]
-        del cand[pick]
-        chosen.append(pick)
-        chosen_set.add(pick)
-        total += best_delta
+            p = sorted(tied)[rng.randrange(len(tied))]
+        tied.remove(p)
+        counts[p] = -1
+        placed.append(p)
+        total += top
         curve.append(total)
-        absorb(pick)
-    return chosen, curve[: n_max + 1]
+    yield branch
+
+
+def _balls(branch: _Branch) -> list[Point]:
+    """The placed balls of a finished run in grid coordinates."""
+    s = branch.grids[0].sign
+    return [(s * a, s * b, k) for k, a, b in branch.placed]
 
 
 def greedy(params: GreedyParams) -> Configuration:
@@ -166,11 +237,10 @@ def greedy(params: GreedyParams) -> Configuration:
     else:
         rng = None
         tag = "lex"
-    balls, _ = _greedy_run(
-        params.lattice, params.n_max, rng, params.start, params.horizontal_bound
-    )
+    start = _Branch.start([_Grid(0, params.lattice)], rng, params.start)
+    (run,) = _walk(start, params.n_max, params.horizontal_bound)
     provenance = f"greedy:{tag}:grid={descriptor(params.lattice)}"
-    return Configuration(params.lattice, tuple(balls), provenance)
+    return Configuration(params.lattice, tuple(_balls(run)), provenance)
 
 
 @dataclass(frozen=True)
@@ -185,20 +255,45 @@ class SweepRecord:
     restarts_used: int
 
 
-def _sweep_task(args: tuple[Lattice, int, int, int, int]) -> list[tuple[int, list[int], list[Point]]]:
-    """Worker for one grid: the deterministic run plus every seeded restart."""
-    lattice, n_max, restarts, base_seed, bound = args
-    out = []
-    for r in range(restarts + 1):
-        rng = None if r == 0 else random.Random(base_seed + r)
-        balls, curve = _greedy_run(lattice, n_max, rng, (0, 0, 0), bound)
-        out.append((r, curve, balls))
-    return out
+# Per-n winner of part of a sweep: (contacts, (grid id, restart, input index),
+# balls).  Contacts descending, then the rank ascending, wins.
+_Winner = tuple[int, tuple[int, int, int], list[Point]]
 
 
-def _lattice_id(lattice: Lattice) -> int:
-    """Sweep tie-break id: the grid id for hexagonal grids, -1 for octahedral."""
-    return grid_id(lattice.seq) if isinstance(lattice, Hexagonal) else -1
+def _best(results: Iterable[list[_Winner | None]], n_max: int) -> list[_Winner | None]:
+    """Per-n winners over per-n winner lists, read one list at a time."""
+    best: list[_Winner | None] = [None] * (n_max + 1)
+    for winners in results:
+        for n in range(1, n_max + 1):
+            w = winners[n]
+            cur = best[n]
+            if cur is None or w[0] > cur[0] or (w[0] == cur[0] and w[1] < cur[1]):  # type: ignore[index]
+                best[n] = w
+    return best
+
+
+def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int]) -> list[_Winner | None]:
+    """Worker: per-n winners of one restart over one top-level subtree of grids."""
+    grids, n_max, restart, base_seed, bound = args
+    rng = None if restart == 0 else random.Random(base_seed + restart)
+
+    def runs() -> Iterator[list[_Winner | None]]:
+        for run in _walk(_Branch.start(grids, rng, (0, 0, 0)), n_max, bound):
+            rep = min(run.grids, key=lambda g: (g.gid, g.index))
+            rank = (rep.gid, restart, rep.index)
+            balls = _balls(run)
+            yield [None, *((c, rank, balls) for c in run.curve[1:])]
+
+    return _best(runs(), n_max)
+
+
+def _subtrees(grids: list[_Grid]) -> list[list[_Grid]]:
+    """Grids grouped by kind, orientation and start-layer offsets: the
+    top-level subtrees of a sweep, which share no greedy step."""
+    parts: dict[object, list[_Grid]] = {}
+    for g in grids:
+        parts.setdefault((type(g.lattice), g.sign, g.offsets(0)), []).append(g)
+    return list(parts.values())
 
 
 def greedy_sweep(
@@ -212,40 +307,41 @@ def greedy_sweep(
     """Best greedy result per configuration size over grids and restarts.
 
     Restart 0 is the lexicographic run; restart r >= 1 uses seed
-    ``base_seed + r``.  Per-size results are read off the full runs through
-    the prefix property.  Winners are reduced by contacts descending, then
-    grid id ascending, then restart index ascending, independent of execution
+    ``base_seed + r``.  Grids share one run for as long as they agree on the
+    neighbor offsets of every layer the run has reached, so each distinct run
+    is made once.  Per-size results are read off the full runs through the
+    prefix property.  Winners are reduced by contacts descending, then grid
+    id ascending, then restart index ascending, independent of execution
     order, so results are reproducible with any worker count.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if not grids:
         raise ValueError("grids must be nonempty")
-    tasks = [(g, n_max, restarts, base_seed, horizontal_bound) for g in grids]
+    if restarts < 0:
+        raise ValueError("restarts must be 0 or positive")
+    if horizontal_bound < 0:
+        raise ValueError("horizontal_bound must be 0 (unbounded) or positive")
+    subtrees = _subtrees([_Grid(index, g) for index, g in enumerate(grids)])
+    tasks = [
+        (sub, n_max, r, base_seed, horizontal_bound)
+        for r in range(restarts + 1)
+        for sub in subtrees
+    ]
     if workers is None or workers < 1:
         import os
 
         workers = os.cpu_count() or 1
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, tasks, chunksize=max(1, len(tasks) // (workers * 4))))
+            best = _best(pool.map(_sweep_subtree, tasks, chunksize=max(1, len(tasks) // (workers * 4))), n_max)
     else:
-        results = [_sweep_task(t) for t in tasks]
-
-    # winner per n: (contacts, grid id, restart, balls, lattice)
-    best: list[tuple[int, int, int, list[Point], Lattice] | None] = [None] * (n_max + 1)
-    for lattice, runs in zip(grids, results):
-        gid = _lattice_id(lattice)
-        for r, curve, balls in runs:
-            for n in range(1, n_max + 1):
-                c = curve[n]
-                cur = best[n]
-                if cur is None or c > cur[0] or (c == cur[0] and (gid, r) < (cur[1], cur[2])):
-                    best[n] = (c, gid, r, balls, lattice)
+        best = _best(map(_sweep_subtree, tasks), n_max)
 
     records = []
     for n in range(1, n_max + 1):
-        c, gid, r, balls, lattice = best[n]  # type: ignore[misc]
+        c, (gid, r, index), balls = best[n]  # type: ignore[misc]
+        lattice = grids[index]
         tag = "lex" if r == 0 else f"seed={base_seed + r}"
         config = Configuration(
             lattice,
@@ -318,7 +414,7 @@ def exhaustive(
             )
     pts = window.points()
     count = len(pts)
-    if n > count:
+    if not 0 <= n <= count:
         raise ValueError(f"cannot place {n} balls on {count} window points")
     if n == 0:
         return 0, [Configuration(lattice, (), "exhaustive")]
@@ -422,7 +518,7 @@ def write_sweep_csv(path: str, records: Iterable[SweepRecord], runtime_ms: int) 
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_COLUMNS)
         for rec in records:
-            grid = descriptor(rec.configuration.lattice) if rec.configuration else ""
+            grid = descriptor(rec.configuration.lattice) if rec.configuration is not None else ""
             writer.writerow(
                 [rec.n, rec.best_contacts, grid, rec.algorithm, rec.restarts_used, runtime_ms]
             )

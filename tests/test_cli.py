@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from hexcontact import cli
 from hexcontact.cli import main
 from hexcontact.contact import read_jsonl, verify
 from hexcontact.search import read_sweep_csv
@@ -60,6 +61,22 @@ class TestSweep:
         assert code == 0
         assert os.path.exists(tmp_path / "envout" / "sweep_oct.csv")
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--restarts", "restarts must be 0 or positive"),
+        ("--bound", "horizontal_bound must be 0 (unbounded) or positive"),
+    ])
+    def test_negative_counts_exit_2(self, tmp_path, capsys, flag, message):
+        code, _, stderr = run(["sweep", "--n", "5", flag, "-1", "--workers", "1",
+                               "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert stderr == f"error: {message}\n"
+
+    def test_frontier_exhaustion_exit_2(self, tmp_path, capsys):
+        code, _, stderr = run(["sweep", "--n", "100", "--bound", "1", "--workers", "1",
+                               "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert stderr == "error: frontier empty after 81 of 100 balls (bounds too tight)\n"
+
     def test_sweep_configs_verify_cleanly(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         run(["sweep", "--layers", "-1..1", "--n", "5", "--out", out], capsys)
@@ -90,6 +107,22 @@ class TestExhaustive:
              "--out", str(tmp_path)], capsys)
         assert code == 0
         assert "maximum contacts: 90" in stdout
+
+    def test_zero_balls_name_their_grid(self, tmp_path, capsys):
+        code, stdout, _ = run(
+            ["exhaustive", "--window", "-1..1,-1..1,-1..1", "--n", "0",
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert "maximum contacts: 0 (grid hex:-1..1:01)" in stdout
+        assert os.listdir(tmp_path) == ["c0_hex:-1..1:01.jsonl"]
+        assert len(read_jsonl(str(tmp_path / "c0_hex:-1..1:01.jsonl"))) == 0
+
+    def test_negative_n_exit_2(self, tmp_path, capsys):
+        code, _, stderr = run(
+            ["exhaustive", "--window", "-1..1,-1..1,-1..1", "--n", "-1",
+             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert stderr == "error: --n must be 0 or more, got -1\n"
 
     def test_window_cap_refused(self, tmp_path, capsys):
         code, _, stderr = run(
@@ -197,6 +230,25 @@ class TestExportCommand:
         code, *_ = run(["export", src, "--format", "jsonl", "--output", dest], capsys)
         assert code == 0
         assert verify(read_jsonl(dest)).contacts == verify(read_jsonl(src)).contacts
+
+
+def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    a, b, c = (str(tmp_path / d) for d in "abc")
+    code, *_ = run(["sweep", "--lattice", "oct", "--n", "4", "--restarts", "3", "--seed", "2",
+                    "--bound", "2", "--workers", "1", "--out", a], capsys)
+    assert code == 0
+    code, stdout, _ = run(["verify", os.path.join(a, "c4_oct.jsonl")], capsys)
+    assert code == 0 and "lattice:          oct" in stdout
+    code, stdout, _ = run(["exhaustive", "--window", "-1..1,-1..1,-1..1", "--n", "2",
+                           "--out", b], capsys)
+    assert code == 0 and "(grid hex:-1..1:" in stdout
+    code, *_ = run(["sweep", "--layers", "-1..1", "--n", "4", "--workers", "1", "--out", c], capsys)
+    assert code == 0
+    records = read_sweep_csv(os.path.join(c, "sweep_hex.csv"))
+    assert [r.restarts_used for r in records] == [0, 0, 0, 0]
+    assert all(name.startswith("c") and ":-1..1:" in name
+               for name in os.listdir(c) if name.endswith(".jsonl"))
 
 
 def test_unknown_command_exits_2(capsys):

@@ -24,7 +24,9 @@ from hexcontact.search import (
     exhaustive_sweep,
     greedy,
     greedy_sweep,
+    read_sweep_csv,
     unique_window_grids,
+    write_sweep_csv,
 )
 
 NINE_LAYERS = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=True)]
@@ -240,6 +242,13 @@ class TestExhaustiveSweep:
         rec = exhaustive_sweep(WINDOW_333, 5, NINE_LAYERS)
         assert rec.best_contacts == 9
         assert verify(rec.configuration).contacts == 9
+
+    def test_zero_balls_keep_their_grid_in_csv(self, tmp_path):
+        rec = exhaustive_sweep(WINDOW_333, 0, NINE_LAYERS)
+        path = str(tmp_path / "sweep.csv")
+        write_sweep_csv(path, [rec], 0)
+        (back,) = read_sweep_csv(path)
+        assert back.best_grid_id == rec.best_grid_id >= 0
 
     def test_algorithm_tag(self):
         rec = exhaustive_sweep(WINDOW_333, 2, NINE_LAYERS)

@@ -1,0 +1,197 @@
+"""Cross-checks of the shared-prefix greedy sweep against a per-grid reference.
+
+The reference is the plain greedy loop: one full run per grid and restart,
+a frontier dict scanned for its maximum at every step, and a serial
+reduction over every run.  The shared sweep must give every grid the same
+balls and contact curve, and ``greedy_sweep`` the same records.
+"""
+
+import random
+
+import pytest
+
+from hexcontact import search
+from hexcontact.contact import Configuration
+from hexcontact.lattice import (
+    OCT,
+    OCT_OFFSETS,
+    Hexagonal,
+    Octahedral,
+    descriptor,
+    enumerate_grids,
+    hex_layer_offsets,
+    orientation,
+)
+from hexcontact.search import (
+    FrontierExhaustedError,
+    GreedyParams,
+    SeededRandom,
+    SweepRecord,
+    greedy,
+    greedy_sweep,
+)
+
+
+def reference_run(lattice, n_max, rng, start=(0, 0, 0), bound=0):
+    """One greedy run: the placed balls and ``curve[m]``, the contacts of the
+    first m balls."""
+    if isinstance(lattice, Octahedral):
+        offsets, t_low, sign = [OCT_OFFSETS], 0, 1
+    else:
+        seq = lattice.seq
+        offsets = [hex_layer_offsets(seq, k) for k in seq.layers]
+        t_low, sign = seq.t1, orientation(seq)
+
+    def tie_key(p):
+        return (p[2], sign * p[0], sign * p[1])
+
+    chosen = [start]
+    chosen_set = {start}
+    cand = {}
+    curve = [0, 0]
+    total = 0
+
+    def absorb(p):
+        i, j, k = p
+        offs = offsets[0] if isinstance(lattice, Octahedral) else offsets[k - t_low]
+        for di, dj, dk in offs:
+            q = (i + di, j + dj, k + dk)
+            if q in chosen_set:
+                continue
+            if bound and (abs(q[0]) > bound or abs(q[1]) > bound):
+                continue
+            cand[q] = cand.get(q, 0) + 1
+
+    absorb(start)
+    while len(chosen) < n_max:
+        if not cand:
+            raise FrontierExhaustedError(len(chosen), n_max)
+        best_delta = max(cand.values())
+        tied = [p for p, d in cand.items() if d == best_delta]
+        if len(tied) == 1:
+            pick = tied[0]
+        elif rng is None:
+            pick = min(tied, key=tie_key)
+        else:
+            tied.sort(key=tie_key)
+            pick = tied[rng.randrange(len(tied))]
+        del cand[pick]
+        chosen.append(pick)
+        chosen_set.add(pick)
+        total += best_delta
+        curve.append(total)
+        absorb(pick)
+    return chosen, curve[: n_max + 1]
+
+
+def restart_rng(restart, base_seed):
+    return None if restart == 0 else random.Random(base_seed + restart)
+
+
+def reference_sweep(n_max, grids, restarts=0, base_seed=0, bound=0):
+    """Every grid and restart run separately, reduced by contacts descending,
+    then grid id, then restart, then input order."""
+    best = [None] * (n_max + 1)
+    for lattice in grids:
+        gid = search._lattice_id(lattice)
+        for r in range(restarts + 1):
+            balls, curve = reference_run(lattice, n_max, restart_rng(r, base_seed), bound=bound)
+            for n in range(1, n_max + 1):
+                c = curve[n]
+                cur = best[n]
+                if cur is None or c > cur[0] or (c == cur[0] and (gid, r) < (cur[1], cur[2])):
+                    best[n] = (c, gid, r, balls, lattice)
+    records = []
+    for n in range(1, n_max + 1):
+        c, gid, r, balls, lattice = best[n]
+        tag = "lex" if r == 0 else f"seed={base_seed + r}"
+        config = Configuration(lattice, tuple(balls[:n]), f"greedy:{tag}:grid={descriptor(lattice)}")
+        records.append(SweepRecord(n, c, gid, config, "greedy", r))
+    return records
+
+
+def shared_runs(lattices, n_max, restart, base_seed=0, bound=0):
+    """(balls, curve) per input index, read off the shared walk."""
+    out = {}
+    for sub in search._subtrees([search._Grid(i, g) for i, g in enumerate(lattices)]):
+        start = search._Branch.start(sub, restart_rng(restart, base_seed), (0, 0, 0))
+        for run in search._walk(start, n_max, bound):
+            balls = search._balls(run)
+            for g in run.grids:
+                assert g.index not in out
+                out[g.index] = (balls, run.curve)
+    return out
+
+
+def assert_runs_match(lattices, n_max, restarts, base_seed=0, bound=0):
+    for r in range(restarts + 1):
+        shared = shared_runs(lattices, n_max, r, base_seed, bound)
+        assert sorted(shared) == list(range(len(lattices)))
+        for index, lattice in enumerate(lattices):
+            ref = reference_run(lattice, n_max, restart_rng(r, base_seed), bound=bound)
+            assert shared[index] == ref, (descriptor(lattice), r)
+
+
+ALL_NINE_LAYERS = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=False)]
+NINE_LAYERS = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=True)]
+
+
+def test_all_nine_layer_grids_both_orientations():
+    assert len(ALL_NINE_LAYERS) == 256
+    assert_runs_match(ALL_NINE_LAYERS, 60, restarts=2, base_seed=11)
+    assert greedy_sweep(60, ALL_NINE_LAYERS, restarts=2, base_seed=11) == reference_sweep(
+        60, ALL_NINE_LAYERS, restarts=2, base_seed=11)
+
+
+@pytest.mark.parametrize("layers", [(-1, 1), (0, 3), (-3, 0)])
+def test_other_layer_ranges(layers):
+    lattices = [Hexagonal(s) for s in enumerate_grids(*layers, normalize=False)]
+    assert_runs_match(lattices, 50, restarts=3, base_seed=4)
+    assert greedy_sweep(50, lattices, restarts=3, base_seed=4) == reference_sweep(
+        50, lattices, restarts=3, base_seed=4)
+
+
+def test_mixed_layer_ranges_and_lattices():
+    lattices = [OCT, *NINE_LAYERS[::16], *(Hexagonal(s) for s in enumerate_grids(-1, 2)), OCT]
+    assert_runs_match(lattices, 40, restarts=2, base_seed=6)
+    assert greedy_sweep(40, lattices, restarts=2, base_seed=6) == reference_sweep(
+        40, lattices, restarts=2, base_seed=6)
+
+
+def test_horizontal_bound():
+    assert_runs_match(NINE_LAYERS, 60, restarts=1, base_seed=2, bound=3)
+    assert greedy_sweep(60, NINE_LAYERS, restarts=1, base_seed=2, horizontal_bound=3) == (
+        reference_sweep(60, NINE_LAYERS, restarts=1, base_seed=2, bound=3))
+
+
+def test_worker_count_and_grid_order():
+    expected = reference_sweep(40, NINE_LAYERS, restarts=1, base_seed=8)
+    assert greedy_sweep(40, NINE_LAYERS, restarts=1, base_seed=8, workers=2) == expected
+    reverse = list(reversed(NINE_LAYERS))
+    assert greedy_sweep(40, reverse, restarts=1, base_seed=8) == expected
+    assert reference_sweep(40, reverse, restarts=1, base_seed=8) == expected
+
+
+def test_octahedral():
+    assert_runs_match([OCT], 120, restarts=6, base_seed=3)
+    assert greedy_sweep(120, [OCT], restarts=6, base_seed=3) == reference_sweep(
+        120, [OCT], restarts=6, base_seed=3)
+
+
+@pytest.mark.parametrize("tie_rule", [None, 5])
+@pytest.mark.parametrize("start", [(0, 0, 0), (2, -1, 3)])
+def test_greedy_matches_reference(tie_rule, start):
+    for lattice in [OCT, NINE_LAYERS[0], NINE_LAYERS[77], ALL_NINE_LAYERS[3]]:
+        rule = search.LEX if tie_rule is None else SeededRandom(tie_rule)
+        cfg = greedy(GreedyParams(lattice, 70, rule, start=start))
+        rng = None if tie_rule is None else random.Random(tie_rule)
+        assert list(cfg.balls) == reference_run(lattice, 70, rng, start)[0]
+
+
+def test_exhaustion_matches_reference():
+    # a bound of 1 leaves 3 x 3 columns of 9 layers: 81 points on every grid
+    with pytest.raises(FrontierExhaustedError) as shared:
+        greedy_sweep(100, NINE_LAYERS, restarts=1, horizontal_bound=1)
+    with pytest.raises(FrontierExhaustedError) as ref:
+        reference_sweep(100, NINE_LAYERS, restarts=1, bound=1)
+    assert shared.value.placed == ref.value.placed == 81
