@@ -43,16 +43,12 @@ from .lattice import (
     enumerate_grids,
     grid_id,
     is_contact,
-    make_epsilon_seq,
     neighbors,
     orientation,
     parse_descriptor,
-    reflect_point,
     scaled_sq_dist,
     seq_from_grid_id,
     to_cartesian,
-    type_tally,
-    uniform_stacking_seq,
 )
 from .search import (
     LEX,

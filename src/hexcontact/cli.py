@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FrontierExhaustedError) as exc:
+    except (ValueError, FrontierExhaustedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,17 @@
 """Ball configurations on a lattice: contact counting, verification, file I/O.
 
-The pairwise integer-metric count in :func:`contact_count` is the canonical
-oracle; the incremental count used by the search code must agree with it
-exactly, which the test suite enforces.
+:func:`verify` is the pairwise oracle and the package's only loop over ball
+pairs: it lifts each ball once to the integer coordinates of
+:func:`~hexcontact.lattice.lift`, where the scaled squared distance of a pair
+is a diagonal quadratic form in the coordinate differences.  The incremental
+count used by the search code must agree with it exactly, which the test
+suite enforces.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -17,7 +21,9 @@ from .lattice import (
     Point,
     contact_threshold,
     descriptor,
+    lift,
     parse_descriptor,
+    scaled_sq_dist,
     to_cartesian,
 )
 
@@ -81,38 +87,8 @@ def _check_layers(lattice: Lattice, balls: tuple[Point, ...]) -> None:
 
 
 def contact_count(config: Configuration) -> int:
-    """Number of touching pairs, by exhaustive pairwise integer distances."""
-    _check_duplicates(config.balls)
-    _check_layers(config.lattice, config.balls)
-    threshold = contact_threshold(config.lattice)
-    balls = config.balls
-    lattice = config.lattice
-    count = 0
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if _scaled(lattice, balls[i], balls[j]) == threshold:
-                count += 1
-    return count
-
-
-def _scaled(lattice: Lattice, p: Point, q: Point) -> int:
-    # local copy of lattice.scaled_sq_dist, kept monomorphic for the O(n^2) loops
-    if isinstance(lattice, Hexagonal):
-        shifts = lattice.seq.prefix_sums
-        t1 = lattice.seq.t1
-        di = p[0] - q[0]
-        dj = p[1] - q[1]
-        dk = p[2] - q[2]
-        ds = shifts[p[2] - t1] - shifts[q[2] - t1]
-        a = 2 * di + dj + ds
-        b = 3 * dj + ds
-        return 3 * a * a + b * b + 8 * dk * dk
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    dz = p[2] - q[2]
-    a = 2 * dx + dz
-    b = 2 * dy + dz
-    return a * a + b * b + 2 * dz * dz
+    """Number of touching pairs, as counted by :func:`verify`."""
+    return verify(config).contacts
 
 
 def verify(config: Configuration) -> ContactReport:
@@ -124,28 +100,31 @@ def verify(config: Configuration) -> ContactReport:
     """
     _check_duplicates(config.balls)
     _check_layers(config.lattice, config.balls)
-    threshold = contact_threshold(config.lattice)
-    balls = config.balls
     lattice = config.lattice
-    n = len(balls)
+    threshold = contact_threshold(lattice)
+    # weights of the diagonal form 3*du^2 + dv^2 + 8*dw^2 (du^2 + dv^2 + 2*dw^2)
+    cu, cw = (3, 8) if isinstance(lattice, Hexagonal) else (1, 2)
+    lifted = [lift(lattice, b) for b in config.balls]
+    n = len(lifted)
     degrees = [0] * n
     contacts = 0
-    min_dist: int | None = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _scaled(lattice, balls[i], balls[j])
-            if min_dist is None or d < min_dist:
-                min_dist = d
+    low = math.inf
+    for i, (u, v, w) in enumerate(lifted):
+        for j, (x, y, z) in enumerate(lifted[i + 1:], i + 1):
+            du, dv, dw = u - x, v - y, w - z
+            d = cu * du * du + dv * dv + cw * dw * dw
+            if d < low:
+                low = d
             if d == threshold:
                 contacts += 1
                 degrees[i] += 1
                 degrees[j] += 1
-    if min_dist is not None and min_dist < threshold:
+    if low < threshold:
         raise RuntimeError(
-            f"scaled squared distance {min_dist} below contact threshold {threshold}; "
+            f"scaled squared distance {low} below contact threshold {threshold}; "
             "points do not form a packing"
         )
-    return ContactReport(n, contacts, tuple(degrees), min_dist)
+    return ContactReport(n, contacts, tuple(degrees), None if n < 2 else low)
 
 
 def prefix(config: Configuration, n: int) -> Configuration:
@@ -160,7 +139,7 @@ def incremental_delta(config: Configuration, p: Point) -> int:
     if p in config.balls:
         raise DuplicateBallError(config.balls.index(p), len(config.balls))
     threshold = contact_threshold(config.lattice)
-    return sum(1 for b in config.balls if _scaled(config.lattice, p, b) == threshold)
+    return sum(1 for b in config.balls if scaled_sq_dist(config.lattice, p, b) == threshold)
 
 
 def reflect_configuration(config: Configuration) -> Configuration:

@@ -7,10 +7,11 @@ sequence that identifies the grid.  Layer 0 is the fixed reference layer, so
 the sign at index 0 is always absent.  The octahedral lattice stacks square
 layers instead and carries no parameters.
 
-Contact decisions are exact: the squared Euclidean distance between two grid
-points, multiplied by 3 for hexagonal grids (by 1 for the octahedral
-lattice), is always an integer.  Floating point enters only in
-:func:`to_cartesian`, used for export and plotting.
+Contact decisions are exact: :func:`lift` maps every grid point to integer
+coordinates in which the squared Euclidean distance, multiplied by 3 for
+hexagonal grids (by 1 for the octahedral lattice), is a diagonal integer
+quadratic form.  Floating point enters only in :func:`to_cartesian`, used
+for export and plotting.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ SQRT2 = math.sqrt(2.0)
 # Generators of the planar hexagonal layer and the two layer-step vectors.
 PLANAR_I = (2.0, 0.0, 0.0)
 PLANAR_J = (1.0, SQRT3, 0.0)
-VERTICAL_STEP = (0.0, 0.0, SQRT8_3)
-HORIZONTAL_STEP = (1.0, SQRT1_3, 0.0)
 STEP_UP_PLUS = (1.0, SQRT1_3, SQRT8_3)    # vertical + horizontal
 STEP_UP_MINUS = (-1.0, -SQRT1_3, SQRT8_3)  # vertical - horizontal
 
@@ -105,11 +104,6 @@ class EpsilonSeq:
         return range(self.t1, self.t2 + 1)
 
 
-def make_epsilon_seq(t1: int, t2: int, values: list[int] | tuple[int, ...]) -> EpsilonSeq:
-    """Validate and build an offset sequence; ``values`` covers layers t1..t2 skipping 0."""
-    return EpsilonSeq(t1, t2, tuple(values))
-
-
 def grid_id(seq: EpsilonSeq) -> int:
     """Injective integer id of a sequence: one bit per nonzero layer, 1 for +1.
 
@@ -127,15 +121,6 @@ def seq_from_grid_id(t1: int, t2: int, gid: int) -> EpsilonSeq:
     return EpsilonSeq(t1, t2, tuple(1 if gid >> b & 1 else -1 for b in range(n)))
 
 
-def type_tally(seq: EpsilonSeq) -> int:
-    """Coarse tally code: 1 per -1 sign plus 2 per +1 sign.
-
-    Not injective (it forgets sign positions); kept only for cross-reference
-    with externally published grid catalogs that use this tally.
-    """
-    return sum(2 if v == 1 else 1 for v in seq.signs)
-
-
 def enumerate_grids(t1: int, t2: int, normalize: bool = True) -> list[EpsilonSeq]:
     """All sign assignments over layers t1..t2, ordered by grid id.
 
@@ -143,8 +128,6 @@ def enumerate_grids(t1: int, t2: int, normalize: bool = True) -> list[EpsilonSeq
     are kept; mirror grids are then represented once, halving the count.
     """
     n = t2 - t1
-    if n < 1:
-        raise ValueError("need at least one nonzero layer")
     out = []
     for gid in range(1 << n):
         seq = seq_from_grid_id(t1, t2, gid)
@@ -152,15 +135,6 @@ def enumerate_grids(t1: int, t2: int, normalize: bool = True) -> list[EpsilonSeq
             continue
         out.append(seq)
     return out
-
-
-def uniform_stacking_seq(t1: int, t2: int) -> EpsilonSeq:
-    """The sequence whose grid is a true lattice (same step between all layers).
-
-    Every layer is the one below it translated by the same vector, which in
-    sign terms means +1 above layer 0 and -1 below it.
-    """
-    return EpsilonSeq(t1, t2, tuple(1 if k > 0 else -1 for k in range(t1, t2 + 1) if k != 0))
 
 
 @dataclass(frozen=True)
@@ -218,43 +192,43 @@ def parse_descriptor(text: str) -> Lattice:
     return Hexagonal(EpsilonSeq(t1, t2, signs))
 
 
-def to_cartesian(lattice: Lattice, p: Point) -> tuple[float, float, float]:
-    """Cartesian center coordinates of the grid point ``p``.
+def lift(lattice: Lattice, p: Point) -> Point:
+    """Integer coordinates (u, v, w) of ``p`` in which the metric is diagonal.
 
-    Hexagonal: (i, j, k) maps to i*(2,0,0) + j*(1,sqrt3,0) + k*(0,0,sqrt(8/3))
-    plus the layer's accumulated horizontal shift times (1, sqrt(1/3), 0).
-    Octahedral: (x, y, z) maps to x*(2,0,0) + y*(0,2,0) + z*(1,1,sqrt2).
+    Hexagonal: (i, j, k) lifts to (2i + j + s, 3j + s, k), where s is layer
+    k's accumulated horizontal shift; the center is (u, v/sqrt3, w*sqrt(8/3))
+    and 3*d^2 = 3*du^2 + dv^2 + 8*dw^2.  Octahedral: (x, y, z) lifts to
+    (2x + z, 2y + z, z); the center is (u, v, w*sqrt2) and
+    d^2 = du^2 + dv^2 + 2*dw^2.
     """
     a, b, k = p
     if isinstance(lattice, Hexagonal):
         s = lattice.seq.shift(k)
-        return (2.0 * a + b + s, SQRT3 * b + SQRT1_3 * s, SQRT8_3 * k)
-    return (2.0 * a + k, 2.0 * b + k, SQRT2 * k)
+        return (2 * a + b + s, 3 * b + s, k)
+    return (2 * a + k, 2 * b + k, k)
+
+
+def to_cartesian(lattice: Lattice, p: Point) -> tuple[float, float, float]:
+    """Cartesian center coordinates of the grid point ``p``, read off its lift."""
+    u, v, w = lift(lattice, p)
+    if isinstance(lattice, Hexagonal):
+        return (float(u), v / SQRT3, SQRT8_3 * w)
+    return (float(u), float(v), SQRT2 * w)
 
 
 def scaled_sq_dist(lattice: Lattice, p: Point, q: Point) -> int:
     """Exact scaled squared distance between two points of one lattice.
 
-    Hexagonal grids return 3*d^2 = 3*(2*di + dj + ds)^2 + (3*dj + ds)^2
-    + 8*dk^2 where ds is the difference of the layers' horizontal shifts;
-    the octahedral lattice returns d^2 = (2*dx + dz)^2 + (2*dy + dz)^2
-    + 2*dz^2.  Both are integers for every point pair.
+    3*d^2 on hexagonal grids and d^2 on the octahedral lattice: the diagonal
+    form of :func:`lift` applied to the difference of the lifted points, an
+    integer for every point pair.
     """
+    u, v, w = lift(lattice, p)
+    x, y, z = lift(lattice, q)
+    du, dv, dw = u - x, v - y, w - z
     if isinstance(lattice, Hexagonal):
-        seq = lattice.seq
-        di = p[0] - q[0]
-        dj = p[1] - q[1]
-        dk = p[2] - q[2]
-        ds = seq.shift(p[2]) - seq.shift(q[2])
-        a = 2 * di + dj + ds
-        b = 3 * dj + ds
-        return 3 * a * a + b * b + 8 * dk * dk
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    dz = p[2] - q[2]
-    a = 2 * dx + dz
-    b = 2 * dy + dz
-    return a * a + b * b + 2 * dz * dz
+        return 3 * du * du + dv * dv + 8 * dw * dw
+    return du * du + dv * dv + 2 * dw * dw
 
 
 def is_contact(lattice: Lattice, p: Point, q: Point) -> bool:
@@ -268,8 +242,8 @@ def is_contact(lattice: Lattice, p: Point, q: Point) -> bool:
 IN_LAYER_OFFSETS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
 
 # Horizontal neighbor offsets across one layer step, keyed by the step's
-# shift change (+1 or -1).  Derived from the scaled metric: these are the
-# only integer solutions of 3*(2*di + dj + ds)^2 + (3*dj + ds)^2 = 4.
+# shift change ds (+1 or -1).  Derived from the scaled metric: these are the
+# only integer (di, dj) whose lifted difference has 3*du^2 + dv^2 = 4.
 STEP_OFFSETS = {
     1: ((-1, 0), (0, -1), (0, 0)),
     -1: ((0, 0), (0, 1), (1, 0)),
@@ -327,11 +301,3 @@ def orientation(seq: EpsilonSeq) -> int:
     if seq.t1 <= -1:
         return seq.eps(-1)
     return 1
-
-
-def reflect_point(p: Point) -> Point:
-    """The point map that realizes the mirror isometry between a grid and its flip.
-
-    Sends (i, j, k) to (-i, -j, k); Cartesian x and y flip sign, z is kept.
-    """
-    return (-p[0], -p[1], p[2])

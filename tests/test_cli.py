@@ -77,6 +77,24 @@ class TestSweep:
         assert code == 2
         assert stderr == "error: frontier empty after 81 of 100 balls (bounds too tight)\n"
 
+    def test_single_layer(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        code, *_ = run(["sweep", "--layers", "0..0", "--n", "4", "--workers", "1",
+                        "--out", out], capsys)
+        assert code == 0
+        records = read_sweep_csv(os.path.join(out, "sweep_hex.csv"))
+        assert [r.best_contacts for r in records] == [0, 1, 3, 5]
+        assert sorted(f for f in os.listdir(out) if f.endswith(".jsonl")) == [
+            f"c{n}_hex:0..0:.jsonl" for n in range(1, 5)]
+
+    def test_uncreatable_out_dir_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, stderr = run(["sweep", "--n", "3", "--workers", "1",
+                               "--out", str(blocker / "sub")], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+
     def test_sweep_configs_verify_cleanly(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         run(["sweep", "--layers", "-1..1", "--n", "5", "--out", out], capsys)
@@ -137,6 +155,13 @@ class TestExhaustive:
         code, _, stderr = run(args, capsys)
         assert code == 2
         assert "--force" in stderr
+
+    def test_layer_zero_window_needs_no_layers_flag(self, tmp_path, capsys):
+        code, stdout, _ = run(
+            ["exhaustive", "--window", "-1..1,-1..1,0..0", "--n", "3",
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert "n=3 maximum contacts: 3 (grid hex:0..0:)" in stdout
 
     def test_oct_window(self, tmp_path, capsys):
         code, stdout, _ = run(
@@ -207,6 +232,18 @@ class TestCompareCommand:
         assert code == 2
         assert "different n ranges" in stderr
 
+    def test_uncreatable_out_dir_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        run(["sweep", "--layers", "0..1", "--n", "3", "--out", out], capsys)
+        run(["sweep", "--lattice", "oct", "--n", "3", "--out", out], capsys)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, stderr = run(
+            ["compare", os.path.join(out, "sweep_hex.csv"),
+             os.path.join(out, "sweep_oct.csv"), "--out", str(blocker / "sub")], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+
 
 class TestExportCommand:
     def test_csv_has_twelve_decimals(self, tmp_path, capsys):
@@ -230,6 +267,15 @@ class TestExportCommand:
         code, *_ = run(["export", src, "--format", "jsonl", "--output", dest], capsys)
         assert code == 0
         assert verify(read_jsonl(dest)).contacts == verify(read_jsonl(src)).contacts
+
+    def test_missing_output_dir_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        run(["sweep", "--layers", "0..1", "--n", "2", "--out", out], capsys)
+        src = os.path.join(out, next(f for f in os.listdir(out) if f.startswith("c2_")))
+        dest = str(tmp_path / "missing" / "x.csv")
+        code, _, stderr = run(["export", src, "--output", dest], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and "x.csv" in stderr
 
 
 def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys):

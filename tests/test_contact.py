@@ -1,7 +1,10 @@
 import io
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hexcontact.contact import (
     Configuration,
@@ -17,14 +20,16 @@ from hexcontact.contact import (
 )
 from hexcontact.lattice import (
     OCT,
+    EpsilonSeq,
     Hexagonal,
+    contact_threshold,
     enumerate_grids,
-    make_epsilon_seq,
     neighbors,
+    scaled_sq_dist,
     seq_from_grid_id,
 )
 
-UP_GRID = Hexagonal(make_epsilon_seq(-4, 4, [1] * 8))
+UP_GRID = Hexagonal(EpsilonSeq(-4, 4, (1,) * 8))
 
 # Mutually touching four-ball cluster in any grid with a +1 first upward sign,
 # checked pair by pair against the integer metric.
@@ -44,6 +49,48 @@ def random_grown_config(rng, lattice, n):
         balls.append(pick)
         ball_set.add(pick)
     return Configuration(lattice, tuple(balls))
+
+
+@st.composite
+def grown_configs(draw):
+    """A configuration on the octahedral lattice or a random grid of -3..3,
+    grown ball by ball: each new ball touches a placed one or lands
+    anywhere in a box, so gaps and several components occur."""
+    if draw(st.booleans()):
+        lattice, layers = OCT, st.integers(-3, 3)
+    else:
+        seq = seq_from_grid_id(-3, 3, draw(st.integers(0, 63)))
+        lattice, layers = Hexagonal(seq), st.integers(seq.t1, seq.t2)
+    balls = []
+    for _ in range(draw(st.integers(0, 30))):
+        if balls and draw(st.integers(0, 3)):
+            anchor = draw(st.sampled_from(balls))
+            p = draw(st.sampled_from(neighbors(lattice, anchor)))
+        else:
+            p = (draw(st.integers(-6, 6)), draw(st.integers(-6, 6)), draw(layers))
+        if p not in balls:
+            balls.append(p)
+    return Configuration(lattice, tuple(balls))
+
+
+def pairwise_report(cfg):
+    """Contacts, degrees and minimum scaled distance, one scaled_sq_dist
+    call per pair."""
+    threshold = contact_threshold(cfg.lattice)
+    degrees = [0] * len(cfg.balls)
+    dists = []
+    for (i, p), (j, q) in itertools.combinations(enumerate(cfg.balls), 2):
+        dists.append(scaled_sq_dist(cfg.lattice, p, q))
+        if dists[-1] == threshold:
+            degrees[i] += 1
+            degrees[j] += 1
+    return sum(degrees) // 2, tuple(degrees), min(dists, default=None)
+
+
+@given(grown_configs())
+def test_verify_matches_per_pair_metric(cfg):
+    report = verify(cfg)
+    assert (report.contacts, report.degree_sequence, report.min_scaled_dist) == pairwise_report(cfg)
 
 
 class TestContactCount:
@@ -91,7 +138,7 @@ class TestVerify:
             verify(Configuration(OCT, ((1, 1, 1), (1, 1, 1))))
 
     def test_layer_out_of_range(self):
-        lat = Hexagonal(make_epsilon_seq(0, 1, [1]))
+        lat = Hexagonal(EpsilonSeq(0, 1, (1,)))
         with pytest.raises(LayerOutOfRangeError) as err:
             verify(Configuration(lat, ((0, 0, 0), (0, 0, 2))))
         assert err.value.index == 1

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 
 from hexcontact.lattice import (
     OCT,
+    OCT_GEN_X,
+    OCT_GEN_Y,
+    OCT_GEN_Z,
     PLANAR_I,
     PLANAR_J,
+    STEP_UP_MINUS,
     STEP_UP_PLUS,
     EpsilonSeq,
     Hexagonal,
@@ -18,16 +22,13 @@ from hexcontact.lattice import (
     grid_id,
     hex_layer_offsets,
     is_contact,
-    make_epsilon_seq,
+    lift,
     neighbors,
     orientation,
     parse_descriptor,
-    reflect_point,
     scaled_sq_dist,
     seq_from_grid_id,
     to_cartesian,
-    type_tally,
-    uniform_stacking_seq,
 )
 
 
@@ -53,45 +54,38 @@ def float_scaled_dist(lattice, p, q):
 
 def test_generator_lengths():
     # unit balls touch along every generator: all steps have length 2
-    from hexcontact.lattice import (
-        OCT_GEN_X,
-        OCT_GEN_Y,
-        OCT_GEN_Z,
-        STEP_UP_MINUS,
-    )
-
     for vec in (PLANAR_I, PLANAR_J, STEP_UP_PLUS, STEP_UP_MINUS, OCT_GEN_X, OCT_GEN_Y, OCT_GEN_Z):
         assert math.sqrt(sum(c * c for c in vec)) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestEpsilonSeq:
     def test_single_layer(self):
-        seq = make_epsilon_seq(0, 0, [])
+        seq = EpsilonSeq(0, 0, ())
         assert seq.shift(0) == 0
         assert seq.eps(0) == 0
 
     def test_nine_layer(self):
-        seq = make_epsilon_seq(-4, 4, [1] * 8)
+        seq = EpsilonSeq(-4, 4, (1,) * 8)
         assert seq.layers == range(-4, 5)
         assert seq.shift(4) == 4
 
     def test_hand_evaluated_shifts(self):
-        seq = make_epsilon_seq(-1, 1, [-1, 1])
+        seq = EpsilonSeq(-1, 1, (-1, 1))
         assert (seq.shift(-1), seq.shift(0), seq.shift(1)) == (-1, 0, 1)
 
     @pytest.mark.parametrize(
         "t1,t2,values",
         [
-            (1, 2, [1]),          # t1 > 0
-            (-2, -1, [-1]),       # t2 < 0
-            (-1, 1, [1]),         # wrong length
-            (-1, 1, [1, 0]),      # bad sign
-            (-1, 1, [1, 2]),      # bad sign
+            (1, 2, (1,)),         # t1 > 0
+            (-2, -1, (-1,)),      # t2 < 0
+            (-1, 1, (1,)),        # wrong length
+            (-1, 1, (1, 0)),      # bad sign
+            (-1, 1, (1, 2)),      # bad sign
         ],
     )
     def test_rejects_bad_input(self, t1, t2, values):
         with pytest.raises(ValueError):
-            make_epsilon_seq(t1, t2, values)
+            EpsilonSeq(t1, t2, values)
 
     @given(seqs())
     def test_adjacent_shifts_differ_by_one(self, seq):
@@ -111,13 +105,13 @@ class TestEpsilonSeq:
 
 class TestGridId:
     def test_all_minus_is_zero(self):
-        assert grid_id(make_epsilon_seq(-4, 4, [-1] * 8)) == 0
+        assert grid_id(EpsilonSeq(-4, 4, (-1,) * 8)) == 0
 
     def test_all_plus_is_255(self):
-        assert grid_id(make_epsilon_seq(-4, 4, [1] * 8)) == 255
+        assert grid_id(EpsilonSeq(-4, 4, (1,) * 8)) == 255
 
     def test_mixed(self):
-        assert grid_id(make_epsilon_seq(-1, 1, [-1, 1])) == 2
+        assert grid_id(EpsilonSeq(-1, 1, (-1, 1))) == 2
 
     def test_injective_over_fixed_range(self):
         ids = [grid_id(s) for s in enumerate_grids(-2, 2, normalize=False)]
@@ -126,14 +120,6 @@ class TestGridId:
     @given(seqs(4))
     def test_roundtrip(self, seq):
         assert seq_from_grid_id(seq.t1, seq.t2, grid_id(seq)) == seq
-
-    def test_type_tally_counts_signs(self):
-        seq = make_epsilon_seq(-2, 2, [-1, 1, 1, -1])
-        assert type_tally(seq) == 2 * 1 + 2 * 2  # two -1s, two +1s
-        # the tally forgets positions, unlike grid_id
-        other = make_epsilon_seq(-2, 2, [1, -1, -1, 1])
-        assert type_tally(other) == type_tally(seq)
-        assert grid_id(other) != grid_id(seq)
 
 
 class TestEnumerateGrids:
@@ -152,9 +138,8 @@ class TestEnumerateGrids:
         ids = [grid_id(s) for s in enumerate_grids(-2, 1, normalize=False)]
         assert ids == sorted(ids)
 
-    def test_rejects_single_layer(self):
-        with pytest.raises(ValueError):
-            enumerate_grids(0, 0)
+    def test_single_layer_is_one_grid(self):
+        assert enumerate_grids(0, 0) == [EpsilonSeq(0, 0, ())]
 
     def test_normalize_noop_without_upper_layers(self):
         assert len(enumerate_grids(-2, 0, normalize=True)) == 4
@@ -166,7 +151,7 @@ class TestCartesian:
             assert to_cartesian(Hexagonal(seq), (0, 0, 0)) == (0.0, 0.0, 0.0)
 
     def test_first_upper_neighbor_is_the_up_plus_step(self):
-        lat = Hexagonal(make_epsilon_seq(0, 1, [1]))
+        lat = Hexagonal(EpsilonSeq(0, 1, (1,)))
         got = to_cartesian(lat, (0, 0, 1))
         assert got == pytest.approx(STEP_UP_PLUS, abs=1e-12)
 
@@ -174,18 +159,48 @@ class TestCartesian:
         assert to_cartesian(OCT, (0, 0, 1)) == pytest.approx((1.0, 1.0, math.sqrt(2)), abs=1e-12)
 
     def test_layer_out_of_range(self):
-        lat = Hexagonal(make_epsilon_seq(0, 1, [1]))
+        lat = Hexagonal(EpsilonSeq(0, 1, (1,)))
         with pytest.raises(ValueError):
             to_cartesian(lat, (0, 0, 2))
+
+    @given(seqs(), st.data())
+    def test_hex_center_is_the_generator_sum(self, seq, data):
+        # i and j planar steps, k vertical steps, and the layer's shift in
+        # horizontal steps; the two step-up vectors are vertical +- horizontal
+        lat = Hexagonal(seq)
+        i, j, k = p = data.draw(
+            st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(seq.t1, seq.t2))
+        )
+        s = seq.shift(k)
+        want = tuple(
+            i * a + j * b + k * (up + down) / 2 + s * (up - down) / 2
+            for a, b, up, down in zip(PLANAR_I, PLANAR_J, STEP_UP_PLUS, STEP_UP_MINUS)
+        )
+        assert to_cartesian(lat, p) == pytest.approx(want, abs=1e-9)
+
+    @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)))
+    def test_oct_center_is_the_generator_sum(self, p):
+        want = tuple(
+            p[0] * a + p[1] * b + p[2] * c for a, b, c in zip(OCT_GEN_X, OCT_GEN_Y, OCT_GEN_Z)
+        )
+        assert to_cartesian(OCT, p) == pytest.approx(want, abs=1e-9)
+
+
+class TestLift:
+    def test_hand_evaluated(self):
+        lat = Hexagonal(EpsilonSeq(-1, 1, (-1, 1)))
+        assert lift(lat, (1, 1, 1)) == (2 + 1 + 1, 3 + 1, 1)
+        assert lift(lat, (1, 1, -1)) == (2 + 1 - 1, 3 - 1, -1)
+        assert lift(OCT, (1, 2, 3)) == (2 + 3, 4 + 3, 3)
 
 
 class TestScaledSqDist:
     def test_identical_points(self):
-        lat = Hexagonal(make_epsilon_seq(0, 0, []))
+        lat = Hexagonal(EpsilonSeq(0, 0, ()))
         assert scaled_sq_dist(lat, (2, 3, 0), (2, 3, 0)) == 0
 
     def test_frozen_examples(self):
-        lat = Hexagonal(make_epsilon_seq(-4, 4, [1] * 8))
+        lat = Hexagonal(EpsilonSeq(-4, 4, (1,) * 8))
         assert scaled_sq_dist(lat, (0, 0, 0), (1, 0, 0)) == 12
         assert scaled_sq_dist(lat, (0, 0, 0), (1, 1, 0)) == 36
 
@@ -221,11 +236,11 @@ class TestScaledSqDist:
 
 class TestIsContact:
     def test_in_layer_generator(self):
-        lat = Hexagonal(make_epsilon_seq(0, 0, []))
+        lat = Hexagonal(EpsilonSeq(0, 0, ()))
         assert is_contact(lat, (0, 0, 0), (0, 1, 0))
 
     def test_distance_four(self):
-        lat = Hexagonal(make_epsilon_seq(0, 0, []))
+        lat = Hexagonal(EpsilonSeq(0, 0, ()))
         assert not is_contact(lat, (0, 0, 0), (2, 0, 0))
 
     def test_octahedral_step(self):
@@ -263,7 +278,7 @@ class TestNeighbors:
             assert sorted(nb) == brute_neighbors(lat, p)
 
     def test_boundary_layer_has_nine(self):
-        lat = Hexagonal(make_epsilon_seq(-4, 4, [1, -1] * 4))
+        lat = Hexagonal(EpsilonSeq(-4, 4, (1, -1) * 4))
         assert len(neighbors(lat, (0, 0, 4))) == 9
         assert len(neighbors(lat, (0, 0, -4))) == 9
 
@@ -273,13 +288,13 @@ class TestNeighbors:
         assert sorted(nb) == brute_neighbors(OCT, (3, -1, 2))
 
     def test_deterministic_offset_order(self):
-        lat = Hexagonal(make_epsilon_seq(-1, 1, [1, 1]))
+        lat = Hexagonal(EpsilonSeq(-1, 1, (1, 1)))
         nb = neighbors(lat, (0, 0, 0))
         deltas = [(q[2] - 0, q[0] - 0, q[1] - 0) for q in nb]
         assert deltas == sorted(deltas)
 
     def test_layer_offsets_clip_silently(self):
-        seq = make_epsilon_seq(0, 1, [1])
+        seq = EpsilonSeq(0, 1, (1,))
         assert len(hex_layer_offsets(seq, 0)) == 9
         assert len(hex_layer_offsets(seq, 1)) == 9
 
@@ -292,7 +307,7 @@ class TestReflection:
             st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(seq.t1, seq.t2))
         )
         x, y, z = to_cartesian(lat, p)
-        xr, yr, zr = to_cartesian(mirror, reflect_point(p))
+        xr, yr, zr = to_cartesian(mirror, (-p[0], -p[1], p[2]))
         assert (xr, yr, zr) == pytest.approx((-x, -y, z), abs=1e-12)
 
     @given(seqs(4), st.data())
@@ -303,7 +318,7 @@ class TestReflection:
         )
         p, q = data.draw(coords), data.draw(coords)
         assert scaled_sq_dist(lat, p, q) == scaled_sq_dist(
-            mirror, reflect_point(p), reflect_point(q)
+            mirror, (-p[0], -p[1], p[2]), (-q[0], -q[1], q[2])
         )
 
     @given(seqs(4))
@@ -320,7 +335,7 @@ class TestReflection:
 def test_uniform_stacking_hits_the_true_lattice():
     # The same-step-everywhere grid is the integer span of the two planar
     # generators and the up-plus step vector.
-    lat = Hexagonal(uniform_stacking_seq(-4, 4))
+    lat = Hexagonal(EpsilonSeq(-4, 4, (-1,) * 4 + (1,) * 4))
     rng = random.Random(7)
     for _ in range(100):
         x, y, z = rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-4, 4)

@@ -2,14 +2,14 @@ import itertools
 
 import pytest
 
-from hexcontact.contact import Configuration, contact_count, incremental_delta, verify
+from hexcontact.contact import Configuration, contact_count, incremental_delta, prefix, verify
 from hexcontact.lattice import (
     OCT,
+    EpsilonSeq,
     Hexagonal,
     contact_threshold,
     enumerate_grids,
     grid_id,
-    make_epsilon_seq,
     neighbors,
     scaled_sq_dist,
     seq_from_grid_id,
@@ -30,7 +30,7 @@ from hexcontact.search import (
 )
 
 NINE_LAYERS = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=True)]
-UP_GRID = Hexagonal(make_epsilon_seq(-4, 4, [1] * 8))
+UP_GRID = Hexagonal(EpsilonSeq(-4, 4, (1,) * 8))
 
 
 class TestGreedy:
@@ -65,10 +65,11 @@ class TestGreedy:
 
     def test_contacts_match_oracle(self):
         cfg = greedy(GreedyParams(OCT, 50, SeededRandom(9)))
-        assert verify(cfg).contacts == contact_count(cfg)
+        added = sum(incremental_delta(prefix(cfg, m), cfg.balls[m]) for m in range(len(cfg)))
+        assert verify(cfg).contacts == added
 
     def test_frontier_exhaustion_with_tight_bounds(self):
-        lattice = Hexagonal(make_epsilon_seq(0, 0, []))
+        lattice = Hexagonal(EpsilonSeq(0, 0, ()))
         with pytest.raises(FrontierExhaustedError):
             greedy(GreedyParams(lattice, 10, horizontal_bound=1))
 
@@ -78,7 +79,7 @@ class TestGreedy:
 
     def test_start_must_lie_in_layers(self):
         with pytest.raises(ValueError):
-            GreedyParams(Hexagonal(make_epsilon_seq(0, 1, [1])), 5, start=(0, 0, 3))
+            GreedyParams(Hexagonal(EpsilonSeq(0, 1, (1,))), 5, start=(0, 0, 3))
 
     def test_n_max_validated(self):
         with pytest.raises(ValueError):
@@ -186,7 +187,7 @@ class TestExhaustive:
             exhaustive(UP_GRID, WINDOW_333, 28)
 
     def test_window_must_fit_layers(self):
-        lattice = Hexagonal(make_epsilon_seq(0, 1, [1]))
+        lattice = Hexagonal(EpsilonSeq(0, 1, (1,)))
         with pytest.raises(ValueError):
             exhaustive(lattice, WINDOW_333, 3)
 
@@ -202,7 +203,7 @@ class TestExhaustive:
         assert value == 6
 
     def test_exhaustive_at_least_greedy(self):
-        lattice = Hexagonal(make_epsilon_seq(-1, 1, [1, 1]))
+        lattice = Hexagonal(EpsilonSeq(-1, 1, (1, 1)))
         cfg = greedy(GreedyParams(lattice, 5, horizontal_bound=1))
         value, _ = exhaustive(lattice, WINDOW_333, 5)
         assert value >= contact_count(cfg)
