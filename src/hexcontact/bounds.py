@@ -1,10 +1,13 @@
 """Reference data and bound formulas for small-ball contact numbers.
 
-Three bundled tables drive the comparison reports:
+Four bundled tables drive the comparison reports:
 
 * ``KNOWN_CONTACTS``: the best published values of the maximal contact
   number c(n), exact for n <= 19, lower bounds from exhaustive 3x3x3-window
   searches for 20 <= n <= 27.
+* ``VERIFIED_CONTACTS``: lower bounds this package proves itself where they
+  beat the published table, each attained by a configuration that its own
+  exact search returns and ``verify`` confirms.
 * ``REFERENCE_GREEDY_HEX``: published greedy-sweep lower bounds over the 128
   normalized 9-layer hexagonal grids, n <= 200.  Used as the regression
   reference for our own sweeps; greedy tie-breaking differs between
@@ -52,6 +55,10 @@ def _known_table() -> dict[int, KnownValue]:
 
 
 KNOWN_CONTACTS: dict[int, KnownValue] = _known_table()
+
+VERIFIED_CONTACTS: dict[int, KnownValue] = {
+    21: KnownValue(68, Status.LOWER_BOUND, "exhaustive-3x3x3 on hex:-1..1:01 (hexcontact)"),
+}
 
 _REFERENCE_GREEDY_ROWS = (
     (0, 1, 3, 6, 9, 11, 15, 18, 21),            # n = 1..9
@@ -137,9 +144,9 @@ def octahedral_bound_by_n(n_max: int) -> dict[int, int]:
 
 
 def literature_best(n: int) -> int | None:
-    """Strongest bundled lower bound on c(n): published table or formula."""
-    known = KNOWN_CONTACTS.get(n)
-    candidates = [known.value] if known else []
+    """Strongest bundled lower bound on c(n): published table, verified
+    value or formula."""
+    candidates = [t[n].value for t in (KNOWN_CONTACTS, VERIFIED_CONTACTS) if n in t]
     formula = octahedral_bound_by_n(n).get(n)
     if formula is not None:
         candidates.append(formula)

@@ -22,7 +22,10 @@ contact count, so a step finds its best candidates without a full scan.
 The exact search enumerates n-subsets of a finite coordinate window depth
 first in (k, i, j) point order, pruning a branch when its contact count plus
 an optimistic bound on the remaining additions cannot beat the best subset
-found so far.
+found so far.  The bound needs no published value: the search first solves
+the same window for every smaller size r, and the balls still to place can
+add at most their best contact counts with the balls already chosen plus
+the window optimum for that many balls among themselves.
 """
 
 from __future__ import annotations
@@ -41,13 +44,12 @@ from .lattice import (
     Lattice,
     Octahedral,
     Point,
-    contact_threshold,
     descriptor,
     grid_id,
     hex_layer_offsets,
+    neighbors,
     orientation,
     parse_descriptor,
-    scaled_sq_dist,
 )
 
 
@@ -401,10 +403,20 @@ def exhaustive(
     """Exact maximum contact count over all n-subsets of a window.
 
     Depth-first subset enumeration in (k, i, j) point order with
-    branch-and-bound pruning: a branch dies when its count plus
-    (balls still to place) * (best possible per-ball gain) cannot improve on
-    the incumbent.  Returns the optimum and one maximizing configuration, or
-    all of them when ``all_max`` is set.
+    branch-and-bound pruning.  The same search first finds the window optimum
+    c_W(r) for every r < n.  A branch that has just added a point, with r
+    balls still to place after it, can reach at most its contacts so far,
+    plus the r largest counts of already chosen neighbors among the later
+    points, plus c_W(r); it dies when that cannot improve on the incumbent,
+    or cannot match it when ``all_max`` is set.  The bound never undercounts,
+    so no branch holding the first maximizer in search order is cut, nor,
+    with ``all_max``, any maximizer.  Returns the optimum and the first
+    maximizing configuration, or all of them in search order when
+    ``all_max`` is set.
+
+    ``progress`` receives the nodes visited, the incumbent of the current
+    search and the branches pruned, every ``progress_interval`` nodes; the
+    counts cover the c_W(r) searches too.
     """
     if isinstance(lattice, Hexagonal):
         seq = lattice.seq
@@ -419,42 +431,42 @@ def exhaustive(
     if n == 0:
         return 0, [Configuration(lattice, (), "exhaustive")]
 
-    threshold = contact_threshold(lattice)
-    adj = [0] * count
-    for a in range(count):
-        for b in range(a + 1, count):
-            if scaled_sq_dist(lattice, pts[a], pts[b]) == threshold:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    cap = min(12, max((m.bit_count() for m in adj), default=0))
-
-    best = -1
-    best_masks: list[int] = []
-    nodes = 0
-    pruned = 0
+    index = {p: a for a, p in enumerate(pts)}
+    adj = [sum(1 << index[q] for q in neighbors(lattice, p) if q in index) for p in pts]
+    tails = [adj[a + 1:] for a in range(count)]  # the masks of the points after a
+    column = [0]  # column[r]: the window optimum c_W(r) for r balls
+    nodes = pruned = 0
 
     def dfs(start: int, left: int, contacts: int, mask: int) -> None:
         nonlocal best, best_masks, nodes, pruned
-        if left == 0:
-            if contacts > best:
-                best = contacts
-                best_masks = [mask]
-            elif all_max and contacts == best:
-                best_masks.append(mask)
-            return
-        tail_cap = (left - 1) * cap
-        for idx in range(start, count - left + 1):
+        rest = left - 1
+        for idx in range(start, count - rest):
             nodes += 1
+            nc = contacts + (adj[idx] & mask).bit_count()
+            grown = mask | 1 << idx
+            reachable = nc
+            if rest:
+                gains = sorted([(m & grown).bit_count() for m in tails[idx]], reverse=True)
+                reachable += sum(gains[:rest]) + column[rest]
+            cut = reachable < best or (not keep_ties and reachable == best)
+            if cut:
+                pruned += 1
+            elif not rest:
+                if nc > best:
+                    best, best_masks = nc, [grown]
+                else:
+                    best_masks.append(grown)
             if progress is not None and nodes % progress_interval == 0:
                 progress(nodes, best, pruned)
-            nc = contacts + (adj[idx] & mask).bit_count()
-            reachable = nc + tail_cap
-            if reachable < best or (not all_max and reachable == best):
-                pruned += 1
-                continue
-            dfs(idx + 1, left - 1, nc, mask | (1 << idx))
+            if rest and not cut:
+                dfs(idx + 1, rest, nc, grown)
 
-    dfs(0, n, 0, 0)
+    for size in range(1, n + 1):
+        keep_ties = all_max and size == n
+        best = -1
+        best_masks: list[int] = []
+        dfs(0, size, 0, 0)
+        column.append(best)
 
     configs = []
     for mask in best_masks:

@@ -4,6 +4,7 @@ from hexcontact.bounds import (
     KNOWN_CONTACTS,
     REFERENCE_GREEDY_HEX,
     REFERENCE_OCT_BETTER,
+    VERIFIED_CONTACTS,
     Status,
     compare_tables,
     delta_vs_reference,
@@ -101,6 +102,13 @@ class TestLiteratureBest:
 
     def test_table_value_where_no_formula_applies(self):
         assert literature_best(14) == 40
+
+    def test_verified_value_beats_the_published_one(self):
+        # c(21) >= 68 is proved by the package's own 3x3x3 search; the
+        # published 67 stays for provenance
+        assert KNOWN_CONTACTS[21].value == 67
+        assert VERIFIED_CONTACTS[21].value == 68
+        assert literature_best(21) == 68
 
     def test_absent_outside_tables(self):
         assert literature_best(150) is None

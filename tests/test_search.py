@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
+from hexcontact.bounds import KNOWN_CONTACTS, VERIFIED_CONTACTS, Status
 from hexcontact.contact import Configuration, contact_count, incremental_delta, prefix, verify
 from hexcontact.lattice import (
     OCT,
     EpsilonSeq,
     Hexagonal,
     contact_threshold,
+    descriptor,
     enumerate_grids,
     grid_id,
     neighbors,
@@ -135,8 +137,10 @@ class TestGreedySweep:
         assert serial == parallel
 
 
-def brute_force_max(lattice, window, n):
-    """Unpruned oracle: score every n-subset of the window."""
+def brute_force(lattice, window, n):
+    """Unpruned oracle: score every n-subset of the window, with a pairwise
+    adjacency of its own.  Returns the maximum and the maximizing subsets in
+    lexicographic order of their point indices."""
     pts = window.points()
     threshold = contact_threshold(lattice)
     adj = [0] * len(pts)
@@ -145,18 +149,40 @@ def brute_force_max(lattice, window, n):
             if scaled_sq_dist(lattice, pts[a], pts[b]) == threshold:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    best = -1
+    best, maximizers = -1, []
     for combo in itertools.combinations(range(len(pts)), n):
         mask = 0
         score = 0
         for idx in combo:
             score += (adj[idx] & mask).bit_count()
             mask |= 1 << idx
-        best = max(best, score)
-    return best
+        if score > best:
+            best, maximizers = score, []
+        if score == best:
+            maximizers.append(tuple(pts[idx] for idx in combo))
+    return best, maximizers
 
 
 WINDOW_333 = Window((-1, 1), (-1, 1), (-1, 1))
+
+
+# Off-centre windows of at most 16 points and the grids whose layers they fit.
+BRUTE_FORCE_CASES = [
+    *((Hexagonal(seq), window)
+      for seq in enumerate_grids(-1, 1, normalize=False)
+      for window in (Window((0, 3), (-1, 0), (-1, 0)), Window((1, 2), (-1, 0), (-1, 1)))),
+    *((Hexagonal(seq), Window((-1, 0), (0, 1), (-2, 1)))
+      for seq in enumerate_grids(-2, 1, normalize=False)),
+    *((OCT, window) for window in (Window((0, 3), (-1, 0), (-1, 0)),
+                                   Window((1, 2), (-1, 0), (-1, 1)),
+                                   Window((-1, 0), (0, 1), (-2, 1)))),
+]
+
+
+def case_id(case):
+    lattice, w = case
+    ranges = (w.i_range, w.j_range, w.k_range)
+    return descriptor(lattice) + "@" + ",".join(f"{lo}..{hi}" for lo, hi in ranges)
 
 
 class TestExhaustive:
@@ -196,7 +222,31 @@ class TestExhaustive:
     def test_pruned_equals_unpruned(self, gid, n):
         lattice = Hexagonal(seq_from_grid_id(-1, 1, gid))
         value, _ = exhaustive(lattice, WINDOW_333, n)
-        assert value == brute_force_max(lattice, WINDOW_333, n)
+        assert value == brute_force(lattice, WINDOW_333, n)[0]
+
+    @pytest.mark.parametrize("case", BRUTE_FORCE_CASES, ids=case_id)
+    def test_matches_brute_force(self, case):
+        # the value, the first maximizer (what the CLI writes) and every maximizer
+        lattice, window = case
+        for n in range(7):
+            best, maximizers = brute_force(lattice, window, n)
+            value, configs = exhaustive(lattice, window, n)
+            assert value == best
+            assert configs[0].balls == maximizers[0]
+            value, configs = exhaustive(lattice, window, n, all_max=True)
+            assert value == best
+            assert [c.balls for c in configs] == maximizers
+
+    @pytest.mark.parametrize("window, n", [(WINDOW_333, 6), (Window((0, 1), (0, 1), (0, 0)), 4)])
+    def test_progress_covers_every_node(self, window, n):
+        # the second case finds its only subset at the last node visited
+        calls = []
+        value, _ = exhaustive(UP_GRID, window, n, progress=lambda *a: calls.append(a),
+                              progress_interval=1)
+        nodes = [c[0] for c in calls]
+        assert nodes == list(range(1, len(nodes) + 1))
+        assert all(c[2] <= c[0] for c in calls)
+        assert calls[-1][1] == value
 
     def test_octahedral_window(self):
         value, _ = exhaustive(OCT, Window((-1, 1), (-1, 1), (-1, 1)), 4)
@@ -226,6 +276,14 @@ class TestWindow:
         assert Window((-2, 2), (-2, 2), (0, 1)).subset_count(6) == 15890700
 
 
+@pytest.fixture(scope="module")
+def column_333():
+    """The 3x3x3 window's optimum for n = 0..27 over its 2 distinct
+    restrictions, the search behind the published table."""
+    grids = [Hexagonal(s) for s in enumerate_grids(-1, 1)]
+    return [exhaustive_sweep(WINDOW_333, n, grids) for n in range(WINDOW_333.point_count + 1)]
+
+
 class TestExhaustiveSweep:
     def test_three_layer_restrictions(self):
         all_grids = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=False)]
@@ -250,6 +308,21 @@ class TestExhaustiveSweep:
         write_sweep_csv(path, [rec], 0)
         (back,) = read_sweep_csv(path)
         assert back.best_grid_id == rec.best_grid_id >= 0
+
+    def test_reproduces_the_published_table(self, column_333):
+        for n, known in KNOWN_CONTACTS.items():
+            got = column_333[n].best_contacts
+            if known.status is Status.EXACT:
+                assert got == known.value, f"n={n}"
+            else:
+                assert got >= known.value, f"n={n}"
+
+    def test_twenty_one_balls_reach_68(self, column_333):
+        rec = column_333[21]
+        assert rec.best_contacts == VERIFIED_CONTACTS[21].value == 68
+        assert descriptor(rec.configuration.lattice) == "hex:-1..1:01"
+        report = verify(rec.configuration)
+        assert report.contacts == 68 and report.min_scaled_dist == 12
 
     def test_algorithm_tag(self):
         rec = exhaustive_sweep(WINDOW_333, 2, NINE_LAYERS)
