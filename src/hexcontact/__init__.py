@@ -11,7 +11,6 @@ from .bounds import (
     Status,
     compare_tables,
     delta_vs_reference,
-    known_c,
     literature_best,
     octahedral_bound,
     render_comparison,
@@ -24,10 +23,8 @@ from .contact import (
     DuplicateBallError,
     LayerOutOfRangeError,
     contact_count,
-    incremental_delta,
     prefix,
     read_jsonl,
-    reflect_configuration,
     verify,
     write_jsonl,
 )
@@ -42,7 +39,6 @@ from .lattice import (
     descriptor,
     enumerate_grids,
     grid_id,
-    is_contact,
     neighbors,
     orientation,
     parse_descriptor,
@@ -59,7 +55,7 @@ from .search import (
     SweepRecord,
     Window,
     exhaustive,
-    exhaustive_sweep,
+    exhaustive_column,
     greedy,
     greedy_sweep,
     read_sweep_csv,

@@ -37,7 +37,7 @@ from .lattice import (
 from .search import (
     FrontierExhaustedError,
     Window,
-    exhaustive_sweep,
+    exhaustive_column,
     greedy_sweep,
     read_sweep_csv,
     unique_window_grids,
@@ -55,6 +55,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers in {text!r}") from None
+
+
+def _parse_sizes(text: str) -> tuple[int, int]:
+    return _parse_range(text if ".." in text else f"{text}..{text}")
 
 
 def _parse_window(text: str) -> Window:
@@ -130,8 +134,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_exhaustive(args: argparse.Namespace) -> int:
     window = args.window
-    if args.n < 0:
-        raise ValueError(f"--n must be 0 or more, got {args.n}")
+    lo, hi = args.n
+    if lo < 0:
+        raise ValueError(f"--n must be 0 or more, got {lo}")
+    if lo > hi:
+        raise ValueError(f"--n range {lo}..{hi} is empty")
     if window.point_count > args.cap_points:
         print(
             f"window has {window.point_count} points, above the cap of {args.cap_points}; "
@@ -139,16 +146,6 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    subsets = window.subset_count(args.n)
-    if subsets > args.max_subsets and not args.force:
-        print(
-            f"{subsets} subsets of size {args.n}, above the cap of {args.max_subsets}; "
-            "pass --force to run anyway",
-            file=sys.stderr,
-        )
-        return 2
-    if subsets > 10**6:
-        print(f"large run: about {subsets} subsets per grid", file=sys.stderr)
 
     grids = _grid_family(args, k_range=window.k_range)
     reps = unique_window_grids(grids, window)
@@ -157,11 +154,11 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     def progress(nodes: int, best: int, pruned: int) -> None:
         print(f"  nodes={nodes} best={best} pruned={100.0 * pruned / nodes:.1f}%", file=sys.stderr)
 
-    rec = exhaustive_sweep(window, args.n, grids, progress=progress if subsets > 10**6 else None)
-    grid_desc = descriptor(rec.configuration.lattice) if rec.configuration is not None else "-"
-    print(f"n={rec.n} maximum contacts: {rec.best_contacts} (grid {grid_desc})")
-    if rec.configuration is not None:
-        out = _outdir(args)
+    records = exhaustive_column(window, hi, grids, progress=progress)
+    out = _outdir(args)
+    for rec in records[lo:]:
+        grid_desc = descriptor(rec.configuration.lattice)
+        print(f"n={rec.n} maximum contacts: {rec.best_contacts} (grid {grid_desc})")
         path = os.path.join(out, f"c{rec.n}_{grid_desc}.jsonl")
         write_jsonl(rec.configuration, path)
         print(f"wrote {path}", file=sys.stderr)
@@ -261,11 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exhaustive", help="exact search over a coordinate window")
     add_lattice(p)
     p.add_argument("--window", type=_parse_window, required=True, metavar="I..I,J..J,K..K")
-    p.add_argument("--n", type=int, required=True, metavar="N", help="number of balls")
+    p.add_argument("--n", type=_parse_sizes, required=True, metavar="N|LO..HI",
+                   help="number of balls, or a range of them (one file per number)")
     p.add_argument("--cap-points", type=int, default=60, help="largest allowed window")
-    p.add_argument("--max-subsets", type=int, default=20_000_000,
-                   help="refuse runs above this many subsets unless --force")
-    p.add_argument("--force", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_exhaustive)
 

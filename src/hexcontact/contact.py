@@ -210,15 +210,15 @@ def read_jsonl(source: str | IO[str]) -> Configuration:
     except ValueError as exc:
         raise ValueError(f"line 1: {exc}") from None
     n = header["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"line 1: bad ball count {n!r}")
     if len(lines) - 1 != n:
         raise ValueError(f"line 1: header says {n} balls, file has {len(lines) - 1}")
     balls = []
     for lineno, text in enumerate(lines[1:], start=2):
         rec = load(lineno, text)
-        try:
-            balls.append((int(rec["i"]), int(rec["j"]), int(rec["k"])))
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"line {lineno}: ball record needs integer i, j, k") from None
+        i, j, k = rec.get("i"), rec.get("j"), rec.get("k")
+        if not (type(i) is type(j) is type(k) is int):  # JSON integers only: no bool, float or str
+            raise ValueError(f"line {lineno}: ball record needs integer i, j, k")
+        balls.append((i, j, k))
     return Configuration(lattice, tuple(balls), str(header.get("provenance", "")))

@@ -399,7 +399,7 @@ def exhaustive(
     all_max: bool = False,
     progress: ProgressFn | None = None,
     progress_interval: int = 1 << 21,
-) -> tuple[int, list[Configuration]]:
+) -> tuple[int, list[Configuration], list[tuple[int, Configuration]]]:
     """Exact maximum contact count over all n-subsets of a window.
 
     Depth-first subset enumeration in (k, i, j) point order with
@@ -410,9 +410,10 @@ def exhaustive(
     points, plus c_W(r); it dies when that cannot improve on the incumbent,
     or cannot match it when ``all_max`` is set.  The bound never undercounts,
     so no branch holding the first maximizer in search order is cut, nor,
-    with ``all_max``, any maximizer.  Returns the optimum and the first
+    with ``all_max``, any maximizer.  Returns the optimum, the first
     maximizing configuration, or all of them in search order when
-    ``all_max`` is set.
+    ``all_max`` is set, and the column: for r = 0..n, the pair c_W(r) and
+    the first r-ball maximizer.
 
     ``progress`` receives the nodes visited, the incumbent of the current
     search and the branches pruned, every ``progress_interval`` nodes; the
@@ -428,8 +429,9 @@ def exhaustive(
     count = len(pts)
     if not 0 <= n <= count:
         raise ValueError(f"cannot place {n} balls on {count} window points")
+    empty = Configuration(lattice, (), "exhaustive")
     if n == 0:
-        return 0, [Configuration(lattice, (), "exhaustive")]
+        return 0, [empty], [(0, empty)]
 
     index = {p: a for a, p in enumerate(pts)}
     adj = [sum(1 << index[q] for q in neighbors(lattice, p) if q in index) for p in pts]
@@ -461,18 +463,21 @@ def exhaustive(
             if rest and not cut:
                 dfs(idx + 1, rest, nc, grown)
 
+    firsts = [0]  # firsts[r]: the mask of the first r-ball maximizer
     for size in range(1, n + 1):
         keep_ties = all_max and size == n
         best = -1
         best_masks: list[int] = []
         dfs(0, size, 0, 0)
         column.append(best)
+        firsts.append(best_masks[0])
 
-    configs = []
-    for mask in best_masks:
+    def config(mask: int) -> Configuration:
         balls = tuple(pts[i] for i in range(count) if mask >> i & 1)
-        configs.append(Configuration(lattice, balls, f"exhaustive:grid={descriptor(lattice)}"))
-    return best, configs
+        return Configuration(lattice, balls, f"exhaustive:grid={descriptor(lattice)}")
+
+    configs = [config(mask) for mask in best_masks]
+    return best, configs, [(0, empty), *zip(column[1:], map(config, firsts[1:]))]
 
 
 def _window_signature(lattice: Lattice, window: Window) -> object:
@@ -500,25 +505,29 @@ def unique_window_grids(grids: Sequence[Lattice], window: Window) -> list[Lattic
     return out
 
 
-def exhaustive_sweep(
-    window: Window,
-    n: int,
-    grids: Sequence[Lattice],
-    all_max: bool = False,
-    progress: ProgressFn | None = None,
-) -> SweepRecord:
-    """Exact optimum over the distinct window restrictions of ``grids``."""
+def exhaustive_column(
+    window: Window, n: int, grids: Sequence[Lattice], progress: ProgressFn | None = None
+) -> list[SweepRecord]:
+    """Exact optimum for every size r = 0..n over the distinct window
+    restrictions of ``grids``: one search per restriction.  Most contacts,
+    then the lowest grid id, wins."""
     if not grids:
         raise ValueError("grids must be nonempty")
-    reps = unique_window_grids(grids, window)
-    best: tuple[int, int, list[Configuration]] | None = None
-    for lattice in reps:
-        value, configs = exhaustive(lattice, window, n, all_max=all_max, progress=progress)
-        gid = _lattice_id(lattice)
-        if best is None or value > best[0] or (value == best[0] and gid < best[1]):
-            best = (value, gid, configs)
-    value, gid, configs = best  # type: ignore[misc]
-    return SweepRecord(n, value, gid, configs[0] if configs else None, "exhaustive", 0)
+    columns = [
+        (_lattice_id(lattice), exhaustive(lattice, window, n, progress=progress)[2])
+        for lattice in unique_window_grids(grids, window)
+    ]
+    records = []
+    for r in range(n + 1):
+        gid, column = max(columns, key=lambda c: (c[1][r][0], -c[0]))
+        value, config = column[r]
+        records.append(SweepRecord(r, value, gid, config, "exhaustive", 0))
+    return records
+
+
+def exhaustive_sweep(window: Window, n: int, grids: Sequence[Lattice]) -> SweepRecord:
+    """Exact optimum of size n over the distinct window restrictions of ``grids``."""
+    return exhaustive_column(window, n, grids)[n]
 
 
 SWEEP_CSV_COLUMNS = ("n", "best_contacts", "grid", "algorithm", "restarts", "runtime_ms")

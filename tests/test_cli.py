@@ -149,12 +149,43 @@ class TestExhaustive:
         assert code == 2
         assert "cap" in stderr
 
-    def test_subset_cap_needs_force(self, tmp_path, capsys):
-        args = ["exhaustive", "--window", "-2..2,-2..2,0..1", "--n", "6",
-                "--max-subsets", "1000", "--out", str(tmp_path)]
-        code, _, stderr = run(args, capsys)
+    def test_thirteen_balls_need_no_force(self, tmp_path, capsys):
+        # 20,058,300 subsets, once refused by a subset-count gate
+        code, stdout, _ = run(
+            ["exhaustive", "--window", "-1..1,-1..1,-1..1", "--n", "13",
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert "n=13 maximum contacts: 36 " in stdout
+
+    @pytest.mark.parametrize("sizes", ["5..3", "-1..3", "x"])
+    def test_bad_n_range_exit_2(self, sizes, tmp_path, capsys):
+        try:
+            code = main(["exhaustive", "--window", "-1..1,-1..1,-1..1", "--n", sizes,
+                         "--out", str(tmp_path)])
+        except SystemExit as exc:  # rejected by the argument parser
+            code = exc.code
+        stderr = capsys.readouterr().err
         assert code == 2
-        assert "--force" in stderr
+        assert "error: " in stderr and "Traceback" not in stderr
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("lattice", ["hex", "oct"])
+    def test_range_equals_single_sizes(self, lattice, tmp_path, capsys):
+        window = ["--lattice", lattice, "--window", "-1..1,-1..1,-1..1"]
+        code, stdout, _ = run(["exhaustive", *window, "--n", "3..6",
+                               "--out", str(tmp_path / "range")], capsys)
+        assert code == 0
+        singles = []
+        for n in range(3, 7):
+            code, line, _ = run(["exhaustive", *window, "--n", str(n),
+                                 "--out", str(tmp_path / "single")], capsys)
+            assert code == 0
+            singles.append(line)
+        assert stdout == "".join(singles)
+        names = sorted(os.listdir(tmp_path / "range"))
+        assert names == sorted(os.listdir(tmp_path / "single")) and len(names) == 4
+        for name in names:
+            assert (tmp_path / "range" / name).read_bytes() == (tmp_path / "single" / name).read_bytes()
 
     def test_layer_zero_window_needs_no_layers_flag(self, tmp_path, capsys):
         code, stdout, _ = run(
@@ -203,6 +234,21 @@ class TestVerifyCommand:
     def test_missing_file_exit_2(self, capsys):
         code, *_ = run(["verify", "/nonexistent/x.jsonl"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("header, ball, line", [
+        ({"n": 1}, {"i": 0.5}, 2),
+        ({"n": 1}, {"i": "1"}, 2),
+        ({"n": 1}, {"i": True}, 2),
+        ({"n": True}, {}, 1),
+    ], ids=["float-coordinate", "string-coordinate", "bool-coordinate", "bool-count"])
+    def test_non_integer_fields_exit_2(self, header, ball, line, tmp_path, capsys):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"lattice": "oct", "provenance": "", **header}) + "\n")
+            fh.write(json.dumps({"index": 0, "i": 0, "j": 0, "k": 0, **ball}) + "\n")
+        code, _, stderr = run(["verify", path], capsys)
+        assert code == 2
+        assert stderr.startswith(f"{path}: line {line}: ")
 
 
 class TestCompareCommand:

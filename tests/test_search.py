@@ -23,6 +23,7 @@ from hexcontact.search import (
     SeededRandom,
     Window,
     exhaustive,
+    exhaustive_column,
     exhaustive_sweep,
     greedy,
     greedy_sweep,
@@ -187,22 +188,22 @@ def case_id(case):
 
 class TestExhaustive:
     def test_one_ball(self):
-        value, configs = exhaustive(UP_GRID, WINDOW_333, 1)
+        value, configs, _ = exhaustive(UP_GRID, WINDOW_333, 1)
         assert value == 0 and len(configs) == 1
 
     def test_four_balls_reach_six(self):
-        value, configs = exhaustive(UP_GRID, WINDOW_333, 4)
+        value, configs, _ = exhaustive(UP_GRID, WINDOW_333, 4)
         assert value == 6
         assert contact_count(configs[0]) == 6
 
     def test_whole_window_is_a_single_subset(self):
-        value, configs = exhaustive(UP_GRID, WINDOW_333, 27)
+        value, configs, _ = exhaustive(UP_GRID, WINDOW_333, 27)
         everything = Configuration(UP_GRID, tuple(WINDOW_333.points()))
         assert value == contact_count(everything)
         assert len(configs[0]) == 27
 
     def test_all_optima_mode(self):
-        value, configs = exhaustive(UP_GRID, WINDOW_333, 4, all_max=True)
+        value, configs, _ = exhaustive(UP_GRID, WINDOW_333, 4, all_max=True)
         assert value == 6
         assert len(configs) > 1
         assert all(contact_count(c) == 6 for c in configs)
@@ -221,41 +222,47 @@ class TestExhaustive:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pruned_equals_unpruned(self, gid, n):
         lattice = Hexagonal(seq_from_grid_id(-1, 1, gid))
-        value, _ = exhaustive(lattice, WINDOW_333, n)
+        value, _, _ = exhaustive(lattice, WINDOW_333, n)
         assert value == brute_force(lattice, WINDOW_333, n)[0]
 
     @pytest.mark.parametrize("case", BRUTE_FORCE_CASES, ids=case_id)
     def test_matches_brute_force(self, case):
         # the value, the first maximizer (what the CLI writes) and every maximizer
         lattice, window = case
+        firsts = []
         for n in range(7):
             best, maximizers = brute_force(lattice, window, n)
-            value, configs = exhaustive(lattice, window, n)
+            firsts.append((best, maximizers[0]))
+            value, configs, _ = exhaustive(lattice, window, n)
             assert value == best
             assert configs[0].balls == maximizers[0]
-            value, configs = exhaustive(lattice, window, n, all_max=True)
+            value, configs, _ = exhaustive(lattice, window, n, all_max=True)
             assert value == best
             assert [c.balls for c in configs] == maximizers
+        # and the column of one search: c_W(r) and the first maximizer at every r <= 6
+        for all_max in (False, True):
+            _, _, column = exhaustive(lattice, window, 6, all_max=all_max)
+            assert [(value, config.balls) for value, config in column] == firsts
 
     @pytest.mark.parametrize("window, n", [(WINDOW_333, 6), (Window((0, 1), (0, 1), (0, 0)), 4)])
     def test_progress_covers_every_node(self, window, n):
         # the second case finds its only subset at the last node visited
         calls = []
-        value, _ = exhaustive(UP_GRID, window, n, progress=lambda *a: calls.append(a),
-                              progress_interval=1)
+        value, _, _ = exhaustive(UP_GRID, window, n, progress=lambda *a: calls.append(a),
+                                 progress_interval=1)
         nodes = [c[0] for c in calls]
         assert nodes == list(range(1, len(nodes) + 1))
         assert all(c[2] <= c[0] for c in calls)
         assert calls[-1][1] == value
 
     def test_octahedral_window(self):
-        value, _ = exhaustive(OCT, Window((-1, 1), (-1, 1), (-1, 1)), 4)
+        value, _, _ = exhaustive(OCT, Window((-1, 1), (-1, 1), (-1, 1)), 4)
         assert value == 6
 
     def test_exhaustive_at_least_greedy(self):
         lattice = Hexagonal(EpsilonSeq(-1, 1, (1, 1)))
         cfg = greedy(GreedyParams(lattice, 5, horizontal_bound=1))
-        value, _ = exhaustive(lattice, WINDOW_333, 5)
+        value, _, _ = exhaustive(lattice, WINDOW_333, 5)
         assert value >= contact_count(cfg)
 
 
@@ -281,7 +288,7 @@ def column_333():
     """The 3x3x3 window's optimum for n = 0..27 over its 2 distinct
     restrictions, the search behind the published table."""
     grids = [Hexagonal(s) for s in enumerate_grids(-1, 1)]
-    return [exhaustive_sweep(WINDOW_333, n, grids) for n in range(WINDOW_333.point_count + 1)]
+    return exhaustive_column(WINDOW_333, WINDOW_333.point_count, grids)
 
 
 class TestExhaustiveSweep:
@@ -308,6 +315,14 @@ class TestExhaustiveSweep:
         write_sweep_csv(path, [rec], 0)
         (back,) = read_sweep_csv(path)
         assert back.best_grid_id == rec.best_grid_id >= 0
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 13, 21, 27])
+    def test_column_equals_single_sizes(self, column_333, n):
+        grids = [Hexagonal(s) for s in enumerate_grids(-1, 1)]
+        single, rec = exhaustive_sweep(WINDOW_333, n, grids), column_333[n]
+        assert rec.n == single.n == n
+        assert (rec.best_contacts, rec.best_grid_id) == (single.best_contacts, single.best_grid_id)
+        assert rec.configuration == single.configuration
 
     def test_reproduces_the_published_table(self, column_333):
         for n, known in KNOWN_CONTACTS.items():
