@@ -25,6 +25,7 @@ from .contact import (
     read_jsonl,
     verify,
     write_jsonl,
+    write_jsonl_files,
 )
 from .lattice import (
     OCT,
@@ -110,9 +111,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     kind = "oct" if args.lattice == "oct" else "hex"
     csv_path = os.path.join(out, f"sweep_{kind}.csv")
     write_sweep_csv(csv_path, records, runtime_ms)
-    for rec in records:
-        name = f"c{rec.n}_{descriptor(rec.configuration.lattice)}.jsonl"
-        write_jsonl(rec.configuration, os.path.join(out, name))
+    write_jsonl_files(
+        (rec.configuration, os.path.join(out, f"c{rec.n}_{descriptor(rec.configuration.lattice)}.jsonl"))
+        for rec in records
+    )
 
     values = {r.n: r.best_contacts for r in records}
     print(bounds.render_decade_table(values, label="best"))
@@ -156,11 +158,13 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 
     records = exhaustive_column(window, hi, grids, progress=progress)
     out = _outdir(args)
+    files = []
     for rec in records[lo:]:
         grid_desc = descriptor(rec.configuration.lattice)
         print(f"n={rec.n} maximum contacts: {rec.best_contacts} (grid {grid_desc})")
-        path = os.path.join(out, f"c{rec.n}_{grid_desc}.jsonl")
-        write_jsonl(rec.configuration, path)
+        files.append((rec.configuration, os.path.join(out, f"c{rec.n}_{grid_desc}.jsonl")))
+    write_jsonl_files(files)
+    for _, path in files:
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

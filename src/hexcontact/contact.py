@@ -6,6 +6,12 @@ pairs: it lifts each ball once to the integer coordinates of
 is a diagonal quadratic form in the coordinate differences.  The incremental
 count used by the search code must agree with it exactly, which the test
 suite enforces.
+
+Configuration files are JSON lines: a header, then one line per ball.  One
+private formatter writes the ball lines, giving the bytes ``json.dumps``
+would.  A sweep's files are prefixes of a few greedy runs, so
+:func:`write_jsonl_files` formats each run's lines once and writes every
+file from a slice of them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable
 
 from .lattice import (
     Hexagonal,
@@ -151,6 +157,31 @@ def reflect_configuration(config: Configuration) -> Configuration:
     return Configuration(mirrored, balls, config.provenance)
 
 
+def _header_line(config: Configuration) -> str:
+    header = {
+        "lattice": descriptor(config.lattice),
+        "n": len(config.balls),
+        "provenance": config.provenance,
+    }
+    return json.dumps(header) + "\n"
+
+
+def _ball_lines(config: Configuration) -> list[str]:
+    """One JSON line per ball, byte for byte what ``json.dumps`` gives for
+    the record {"index", "i", "j", "k", "x", "y", "z"}: default separators
+    and the ``repr`` of each Cartesian coordinate rounded to 12 digits."""
+    lattice = config.lattice
+    lines = []
+    for idx, ball in enumerate(config.balls):
+        i, j, k = ball
+        x, y, z = to_cartesian(lattice, ball)
+        lines.append(
+            f'{{"index": {idx}, "i": {i}, "j": {j}, "k": {k}, '
+            f'"x": {round(x, 12)!r}, "y": {round(y, 12)!r}, "z": {round(z, 12)!r}}}\n'
+        )
+    return lines
+
+
 def write_jsonl(config: Configuration, target: str | IO[str]) -> None:
     """Write a configuration as JSON lines: a header record, then one record
     per ball carrying both integer lattice coordinates and Cartesian
@@ -159,24 +190,34 @@ def write_jsonl(config: Configuration, target: str | IO[str]) -> None:
         with open(target, "w") as fh:
             write_jsonl(config, fh)
         return
-    header = {
-        "lattice": descriptor(config.lattice),
-        "n": len(config.balls),
-        "provenance": config.provenance,
-    }
-    target.write(json.dumps(header) + "\n")
-    for idx, ball in enumerate(config.balls):
-        x, y, z = to_cartesian(config.lattice, ball)
-        record = {
-            "index": idx,
-            "i": ball[0],
-            "j": ball[1],
-            "k": ball[2],
-            "x": round(x, 12),
-            "y": round(y, 12),
-            "z": round(z, 12),
-        }
-        target.write(json.dumps(record) + "\n")
+    target.write(_header_line(config) + "".join(_ball_lines(config)))
+
+
+def write_jsonl_files(pairs: Iterable[tuple[Configuration, str]]) -> None:
+    """Write each configuration to its path, as :func:`write_jsonl` would.
+
+    Configurations sharing a lattice and a provenance are written together:
+    the longest one's ball lines are formatted once, and every member whose
+    balls are a prefix of it is written from a slice of those lines; any
+    other member is formatted on its own.  The records of a greedy sweep are
+    prefixes of its winning runs, so most lines are formatted once per call.
+    Only one group's lines are held at a time.  Paths should be distinct:
+    files are written group by group, not in input order.
+    """
+    groups: dict[tuple[Lattice, str], list[tuple[Configuration, str]]] = {}
+    for config, path in pairs:
+        groups.setdefault((config.lattice, config.provenance), []).append((config, path))
+    for members in groups.values():
+        longest = max((config for config, _ in members), key=len)
+        lines = _ball_lines(longest)
+        for config, path in members:
+            n = len(config.balls)
+            if config.balls == longest.balls[:n]:
+                body = "".join(lines[:n])
+            else:
+                body = "".join(_ball_lines(config))
+            with open(path, "w") as fh:
+                fh.write(_header_line(config) + body)
 
 
 def read_jsonl(source: str | IO[str]) -> Configuration:

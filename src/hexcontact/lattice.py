@@ -126,7 +126,10 @@ def enumerate_grids(t1: int, t2: int, normalize: bool = True) -> list[EpsilonSeq
 
     With ``normalize`` (and t2 >= 1) only sequences whose layer-1 sign is +1
     are kept; mirror grids are then represented once, halving the count.
+    Raises ValueError when t1 > t2.
     """
+    if t1 > t2:
+        raise ValueError(f"empty layer range {t1}..{t2}")
     n = t2 - t1
     out = []
     for gid in range(1 << n):

@@ -304,7 +304,7 @@ def greedy_sweep(
     restarts: int = 0,
     base_seed: int = 0,
     horizontal_bound: int = 0,
-    workers: int = 1,
+    workers: int | None = 1,
 ) -> list[SweepRecord]:
     """Best greedy result per configuration size over grids and restarts.
 
@@ -314,7 +314,8 @@ def greedy_sweep(
     is made once.  Per-size results are read off the full runs through the
     prefix property.  Winners are reduced by contacts descending, then grid
     id ascending, then restart index ascending, independent of execution
-    order, so results are reproducible with any worker count.
+    order, so results are reproducible with any worker count.  ``workers``
+    None or 0 means one worker per core.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -324,13 +325,15 @@ def greedy_sweep(
         raise ValueError("restarts must be 0 or positive")
     if horizontal_bound < 0:
         raise ValueError("horizontal_bound must be 0 (unbounded) or positive")
+    if workers is not None and workers < 0:
+        raise ValueError("workers must be 0 (all cores) or positive")
     subtrees = _subtrees([_Grid(index, g) for index, g in enumerate(grids)])
     tasks = [
         (sub, n_max, r, base_seed, horizontal_bound)
         for r in range(restarts + 1)
         for sub in subtrees
     ]
-    if workers is None or workers < 1:
+    if not workers:
         import os
 
         workers = os.cpu_count() or 1

@@ -64,12 +64,19 @@ class TestSweep:
     @pytest.mark.parametrize("flag, message", [
         ("--restarts", "restarts must be 0 or positive"),
         ("--bound", "horizontal_bound must be 0 (unbounded) or positive"),
+        ("--workers", "workers must be 0 (all cores) or positive"),
     ])
     def test_negative_counts_exit_2(self, tmp_path, capsys, flag, message):
-        code, _, stderr = run(["sweep", "--n", "5", flag, "-1", "--workers", "1",
+        code, _, stderr = run(["sweep", "--n", "5", "--workers", "1", flag, "-1",
                                "--out", str(tmp_path)], capsys)
         assert code == 2
         assert stderr == f"error: {message}\n"
+
+    def test_empty_layer_range_exit_2(self, tmp_path, capsys):
+        code, _, stderr = run(["sweep", "--layers", "1..-1", "--n", "3", "--workers", "1",
+                               "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert stderr == "error: empty layer range 1..-1\n"
 
     def test_frontier_exhaustion_exit_2(self, tmp_path, capsys):
         code, _, stderr = run(["sweep", "--n", "100", "--bound", "1", "--workers", "1",

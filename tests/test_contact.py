@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -17,17 +18,21 @@ from hexcontact.contact import (
     reflect_configuration,
     verify,
     write_jsonl,
+    write_jsonl_files,
 )
 from hexcontact.lattice import (
     OCT,
     EpsilonSeq,
     Hexagonal,
     contact_threshold,
+    descriptor,
     enumerate_grids,
     neighbors,
     scaled_sq_dist,
     seq_from_grid_id,
+    to_cartesian,
 )
+from hexcontact.search import Window, exhaustive_column, greedy_sweep
 
 UP_GRID = Hexagonal(EpsilonSeq(-4, 4, (1,) * 8))
 
@@ -261,3 +266,125 @@ class TestJsonl:
         # corrupt every Cartesian field; the read must not care
         corrupted = buf.getvalue().replace('"x":', '"x_ignored":')
         assert read_jsonl(io.StringIO(corrupted)) == cfg
+
+
+def reference_jsonl(config):
+    """The file text of a configuration, one ``json.dumps`` per record: the
+    reference for the line formatter of the writers."""
+    header = {
+        "lattice": descriptor(config.lattice),
+        "n": len(config.balls),
+        "provenance": config.provenance,
+    }
+    lines = [json.dumps(header)]
+    for idx, ball in enumerate(config.balls):
+        x, y, z = to_cartesian(config.lattice, ball)
+        record = {
+            "index": idx,
+            "i": ball[0],
+            "j": ball[1],
+            "k": ball[2],
+            "x": round(x, 12),
+            "y": round(y, 12),
+            "z": round(z, 12),
+        }
+        lines.append(json.dumps(record))
+    return "".join(line + "\n" for line in lines)
+
+
+def written(config):
+    buf = io.StringIO()
+    write_jsonl(config, buf)
+    return buf.getvalue()
+
+
+def assert_files_match_reference(configs, tmp_path):
+    pairs = [(config, str(tmp_path / f"{idx}.jsonl")) for idx, config in enumerate(configs)]
+    write_jsonl_files(pairs)
+    for config, path in pairs:
+        with open(path) as fh:
+            assert fh.read() == reference_jsonl(config), path
+
+
+def groups(configs):
+    """Configurations by (lattice, provenance), as write_jsonl_files groups them."""
+    out = {}
+    for config in configs:
+        out.setdefault((config.lattice, config.provenance), []).append(config)
+    return out.values()
+
+
+def reversed_balls(config):
+    """Same lattice and provenance, balls in reverse order: not a prefix of
+    ``config`` once it has two balls."""
+    return Configuration(config.lattice, config.balls[::-1], config.provenance)
+
+
+@pytest.fixture(scope="module")
+def written_columns():
+    """The configurations a hex sweep, an oct sweep and an exact column write."""
+    hex_grids = [Hexagonal(s) for s in enumerate_grids(-2, 2)]
+    window = Window((-1, 1), (-1, 1), (-1, 1))
+    return {
+        "hex": [r.configuration for r in greedy_sweep(60, hex_grids, restarts=2)],
+        "oct": [r.configuration for r in greedy_sweep(60, [OCT], restarts=8)],
+        "exact": [
+            r.configuration
+            for r in exhaustive_column(window, 27, [Hexagonal(s) for s in enumerate_grids(-1, 1)])
+        ],
+    }
+
+
+class TestJsonlFormatter:
+    @pytest.mark.parametrize("kind", ["hex", "oct", "exact"])
+    def test_files_match_reference(self, written_columns, kind, tmp_path):
+        assert_files_match_reference(written_columns[kind], tmp_path)
+
+    def test_exact_column_has_members_that_are_not_prefixes(self, written_columns):
+        # the fallback of write_jsonl_files is covered only if this holds
+        assert any(
+            config.balls != max(group, key=len).balls[:len(config)]
+            for group in groups(written_columns["exact"])
+            for config in group
+        )
+
+    @pytest.mark.parametrize("kind", ["hex", "oct"])
+    def test_sweep_lines_formatted_once_per_run(self, written_columns, kind, tmp_path, monkeypatch):
+        configs = written_columns[kind]
+        calls = []
+
+        def counting(lattice, p):
+            calls.append(p)
+            return to_cartesian(lattice, p)
+
+        monkeypatch.setattr("hexcontact.contact.to_cartesian", counting)
+        write_jsonl_files((config, str(tmp_path / f"{idx}.jsonl")) for idx, config in enumerate(configs))
+        assert len(calls) == sum(len(max(group, key=len)) for group in groups(configs))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            Configuration(OCT, ()),
+            Configuration(UP_GRID, (), "greedy:lex"),
+            Configuration(UP_GRID, ((0, 0, 0),)),
+            Configuration(OCT, ((-3, 2, -1),), "one ball"),
+            Configuration(UP_GRID, TETRA, 'say "contact" \\ Größe 接触 \t✓'),
+        ],
+    )
+    def test_edge_cases_match_reference(self, config, tmp_path):
+        assert written(config) == reference_jsonl(config)
+        same_group = [config, prefix(config, len(config) // 2), reversed_balls(config)]
+        assert_files_match_reference(same_group, tmp_path)
+
+    @given(st.data())
+    def test_write_jsonl_matches_reference(self, data):
+        if data.draw(st.booleans()):
+            lattice, layers = OCT, st.integers(-6, 6)
+        else:
+            t1, t2 = data.draw(st.integers(-4, 0)), data.draw(st.integers(0, 4))
+            seq = seq_from_grid_id(t1, t2, data.draw(st.integers(0, (1 << (t2 - t1)) - 1)))
+            lattice, layers = Hexagonal(seq), st.integers(t1, t2)
+        coordinate = st.integers(-1000, 1000)
+        balls = data.draw(st.lists(st.tuples(coordinate, coordinate, layers), max_size=12, unique=True))
+        config = Configuration(lattice, tuple(balls), data.draw(st.text(max_size=8)))
+        assert written(config) == reference_jsonl(config)

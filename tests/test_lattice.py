@@ -141,6 +141,10 @@ class TestEnumerateGrids:
     def test_single_layer_is_one_grid(self):
         assert enumerate_grids(0, 0) == [EpsilonSeq(0, 0, ())]
 
+    def test_empty_layer_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^empty layer range 1\.\.-1$"):
+            enumerate_grids(1, -1)
+
     def test_normalize_noop_without_upper_layers(self):
         assert len(enumerate_grids(-2, 0, normalize=True)) == 4
 
