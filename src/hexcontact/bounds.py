@@ -58,6 +58,9 @@ KNOWN_CONTACTS: dict[int, KnownValue] = _known_table()
 
 VERIFIED_CONTACTS: dict[int, KnownValue] = {
     21: KnownValue(68, Status.LOWER_BOUND, "exhaustive-3x3x3 on hex:-1..1:01 (hexcontact)"),
+    24: KnownValue(81, Status.LOWER_BOUND, "exhaustive -2..1,-2..1,-1..1 on hex:-1..1:01 (hexcontact)"),
+    25: KnownValue(85, Status.LOWER_BOUND, "exhaustive -2..1,-2..1,-1..1 on hex:-1..1:01 (hexcontact)"),
+    26: KnownValue(90, Status.LOWER_BOUND, "exhaustive -2..1,-2..1,-1..1 on hex:-1..1:11 (hexcontact)"),
 }
 
 _REFERENCE_GREEDY_ROWS = (

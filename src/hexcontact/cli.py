@@ -82,6 +82,8 @@ def _outdir(args: argparse.Namespace) -> str:
 def _grid_family(args: argparse.Namespace, k_range: tuple[int, int] | None = None) -> list[Lattice]:
     """The lattice list a command works on, from --lattice/--layers flags."""
     if args.lattice == "oct":
+        if args.layers is not None or args.all_grids:
+            raise ValueError("--layers and --all-grids apply to hexagonal grids only")
         return [OCT]
     if args.layers is not None:
         t1, t2 = args.layers

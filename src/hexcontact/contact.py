@@ -1,11 +1,14 @@
 """Ball configurations on a lattice: contact counting, verification, file I/O.
 
-:func:`verify` is the pairwise oracle and the package's only loop over ball
-pairs: it lifts each ball once to the integer coordinates of
-:func:`~hexcontact.lattice.lift`, where the scaled squared distance of a pair
-is a diagonal quadratic form in the coordinate differences.  The incremental
-count used by the search code must agree with it exactly, which the test
-suite enforces.
+:func:`verify` is the contact oracle.  It lifts each ball once to the
+integer coordinates of :func:`~hexcontact.lattice.lift`, where the scaled
+squared distance of a pair is a diagonal quadratic form in the coordinate
+differences.  Only a few differences keep two balls within contact distance
+under that form, so it finds the close pairs by looking up each ball shifted
+by each of those differences, not by comparing every pair; only a
+configuration with no close pair at all falls back to a loop over all pairs
+for its minimum distance.  The incremental count used by the search code
+must agree with it exactly, which the test suite enforces.
 
 Configuration files are JSON lines: a header, then one line per ball.  One
 private formatter writes the ball lines, giving the bytes ``json.dumps``
@@ -16,12 +19,15 @@ file from a slice of them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .lattice import (
+    HEX_CONTACT,
+    OCT_CONTACT,
     Hexagonal,
     Lattice,
     Point,
@@ -97,34 +103,76 @@ def contact_count(config: Configuration) -> int:
     return verify(config).contacts
 
 
+# No difference within contact distance moves a lifted coordinate by more
+# than 3 (dv^2 <= 12 on hexagonal grids), so _REACH bounds every offset.
+_REACH = 3
+
+
+def _close_offsets(cu: int, cw: int, threshold: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every lifted difference (du, dv, dw) > (0, 0, 0) whose form value
+    d = cu*du^2 + dv^2 + cw*dw^2 is at most the contact threshold, as
+    (du, dv, dw, d): one of each +- pair, read off the form alone."""
+    r = range(-_REACH, _REACH + 1)
+    return tuple(
+        (du, dv, dw, d)
+        for du, dv, dw in itertools.product(r, r, r)
+        if (du, dv, dw) > (0, 0, 0) and (d := cu * du * du + dv * dv + cw * dw * dw) <= threshold
+    )
+
+
+# Weights (cu, cw) of the diagonal form 3*du^2 + dv^2 + 8*dw^2 on hexagonal
+# grids and du^2 + dv^2 + 2*dw^2 on the octahedral lattice, with the close
+# offsets of each: 22 on hexagonal grids, 15 on the octahedral lattice.
+_HEX_FORM = (3, 8, _close_offsets(3, 8, HEX_CONTACT))
+_OCT_FORM = (1, 2, _close_offsets(1, 2, OCT_CONTACT))
+
+
 def verify(config: Configuration) -> ContactReport:
     """Full check of a configuration: distinctness, layer range, metric floor.
 
     Raises DuplicateBallError or LayerOutOfRangeError on invalid input and
     RuntimeError if any pair sits closer than the contact distance, which no
     genuine lattice configuration can do.
+
+    Close pairs are found by lookup: each lifted ball is packed into one
+    integer key, and for each offset within contact distance the key set is
+    intersected with itself shifted by that offset.  So when any pair lies
+    within contact distance, the smallest offset hit is the minimum scaled
+    distance; only when no pair does is the minimum taken over all pairs.
     """
     _check_duplicates(config.balls)
     _check_layers(config.lattice, config.balls)
     lattice = config.lattice
     threshold = contact_threshold(lattice)
-    # weights of the diagonal form 3*du^2 + dv^2 + 8*dw^2 (du^2 + dv^2 + 2*dw^2)
-    cu, cw = (3, 8) if isinstance(lattice, Hexagonal) else (1, 2)
+    cu, cw, offsets = _HEX_FORM if isinstance(lattice, Hexagonal) else _OCT_FORM
     lifted = [lift(lattice, b) for b in config.balls]
     n = len(lifted)
     degrees = [0] * n
     contacts = 0
     low = math.inf
-    for i, (u, v, w) in enumerate(lifted):
-        for j, (x, y, z) in enumerate(lifted[i + 1:], i + 1):
-            du, dv, dw = u - x, v - y, w - z
-            d = cu * du * du + dv * dv + cw * dw * dw
-            if d < low:
-                low = d
+    if n >= 2:
+        # A difference of two balls less an offset is below the stride in every
+        # coordinate, so the key of p + offset equals the key of q only if
+        # q = p + offset: every hit is a real pair.
+        stride = max(max(c) - min(c) for c in zip(*lifted)) + _REACH + 1
+        keys = [(u * stride + v) * stride + w for u, v, w in lifted]
+        index = {key: i for i, key in enumerate(keys)}
+        for du, dv, dw, d in offsets:
+            delta = (du * stride + dv) * stride + dw
+            hits = index.keys() & map(delta.__add__, keys)
+            if not hits:
+                continue
+            low = min(low, d)
             if d == threshold:
-                contacts += 1
-                degrees[i] += 1
-                degrees[j] += 1
+                contacts += len(hits)
+                for key in hits:
+                    degrees[index[key]] += 1
+                    degrees[index[key - delta]] += 1
+        if low > threshold:
+            low = min(
+                cu * (u - x) ** 2 + (v - y) ** 2 + cw * (w - z) ** 2
+                for (u, v, w), (x, y, z) in itertools.combinations(lifted, 2)
+            )
     if low < threshold:
         raise RuntimeError(
             f"scaled squared distance {low} below contact threshold {threshold}; "

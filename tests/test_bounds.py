@@ -17,7 +17,35 @@ from hexcontact.bounds import (
     render_decade_table,
     trivial_upper,
 )
+from hexcontact.contact import Configuration, verify
+from hexcontact.lattice import parse_descriptor
 from hexcontact.search import SweepRecord
+
+# First maximisers of the exact search on the 48-point window
+# -2..1,-2..1,-1..1 (hexcontact exhaustive --window -2..1,-2..1,-1..1 --n 24..26),
+# as (grid, balls).  Kept as literals: the search takes minutes.
+WINDOW_48_WITNESSES = {
+    24: ("hex:-1..1:01", (
+        (-2, 0, -1), (-2, 1, -1), (-1, -1, -1), (-1, 0, -1), (-1, 1, -1), (0, -1, -1),
+        (0, 0, -1), (-2, -1, 0), (-2, 0, 0), (-2, 1, 0), (-1, -2, 0), (-1, -1, 0),
+        (-1, 0, 0), (-1, 1, 0), (0, -2, 0), (0, -1, 0), (0, 0, 0), (-2, -1, 1),
+        (-2, 0, 1), (-1, -2, 1), (-1, -1, 1), (-1, 0, 1), (0, -2, 1), (0, -1, 1),
+    )),
+    25: ("hex:-1..1:01", (
+        (-2, 0, -1), (-2, 1, -1), (-1, -1, -1), (-1, 0, -1), (-1, 1, -1), (0, -2, -1),
+        (0, -1, -1), (0, 0, -1), (-2, -1, 0), (-2, 0, 0), (-2, 1, 0), (-1, -2, 0),
+        (-1, -1, 0), (-1, 0, 0), (-1, 1, 0), (0, -2, 0), (0, -1, 0), (0, 0, 0),
+        (-2, -1, 1), (-2, 0, 1), (-1, -2, 1), (-1, -1, 1), (-1, 0, 1), (0, -2, 1),
+        (0, -1, 1),
+    )),
+    26: ("hex:-1..1:11", (
+        (-2, -1, -1), (-2, 0, -1), (-1, -2, -1), (-1, -1, -1), (-1, 0, -1), (0, -2, -1),
+        (0, -1, -1), (-2, -1, 0), (-2, 0, 0), (-2, 1, 0), (-1, -2, 0), (-1, -1, 0),
+        (-1, 0, 0), (-1, 1, 0), (0, -2, 0), (0, -1, 0), (0, 0, 0), (1, -2, 0),
+        (1, -1, 0), (-2, -1, 1), (-2, 0, 1), (-1, -2, 1), (-1, -1, 1), (-1, 0, 1),
+        (0, -2, 1), (0, -1, 1),
+    )),
+}
 
 
 def rec(n, contacts):
@@ -109,6 +137,20 @@ class TestLiteratureBest:
         assert KNOWN_CONTACTS[21].value == 67
         assert VERIFIED_CONTACTS[21].value == 68
         assert literature_best(21) == 68
+
+    @pytest.mark.parametrize("n", sorted(WINDOW_48_WITNESSES))
+    def test_window_48_witness_verifies(self, n):
+        grid, balls = WINDOW_48_WITNESSES[n]
+        assert len(balls) == n
+        assert all(-2 <= i <= 1 and -2 <= j <= 1 and -1 <= k <= 1 for i, j, k in balls)
+        report = verify(Configuration(parse_descriptor(grid), balls))
+        assert report.contacts == VERIFIED_CONTACTS[n].value
+        assert report.min_scaled_dist == 12
+        assert grid in VERIFIED_CONTACTS[n].source
+
+    def test_window_48_values_beat_the_published_ones(self):
+        assert [KNOWN_CONTACTS[n].value for n in (24, 25, 26)] == [80, 84, 87]
+        assert [literature_best(n) for n in (24, 25, 26)] == [81, 85, 90]
 
     def test_absent_outside_tables(self):
         assert literature_best(150) is None

@@ -78,6 +78,14 @@ class TestSweep:
         assert code == 2
         assert stderr == "error: empty layer range 1..-1\n"
 
+    @pytest.mark.parametrize("flags", [["--layers", "0..1"], ["--all-grids"]])
+    def test_oct_rejects_hex_grid_flags(self, flags, tmp_path, capsys):
+        code, stdout, stderr = run(["sweep", "--lattice", "oct", "--n", "3", *flags,
+                                    "--workers", "1", "--out", str(tmp_path)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == "error: --layers and --all-grids apply to hexagonal grids only\n"
+        assert os.listdir(tmp_path) == []
+
     def test_frontier_exhaustion_exit_2(self, tmp_path, capsys):
         code, _, stderr = run(["sweep", "--n", "100", "--bound", "1", "--workers", "1",
                                "--out", str(tmp_path)], capsys)
@@ -200,6 +208,15 @@ class TestExhaustive:
              "--out", str(tmp_path)], capsys)
         assert code == 0
         assert "n=3 maximum contacts: 3 (grid hex:0..0:)" in stdout
+
+    @pytest.mark.parametrize("flags", [["--layers", "-1..1"], ["--all-grids"]])
+    def test_oct_rejects_hex_grid_flags(self, flags, tmp_path, capsys):
+        code, stdout, stderr = run(
+            ["exhaustive", "--lattice", "oct", "--window", "-1..1,-1..1,-1..1", "--n", "4",
+             *flags, "--out", str(tmp_path)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == "error: --layers and --all-grids apply to hexagonal grids only\n"
+        assert os.listdir(tmp_path) == []
 
     def test_oct_window(self, tmp_path, capsys):
         code, stdout, _ = run(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hexcontact.contact import (
     Configuration,
+    ContactReport,
     DuplicateBallError,
     LayerOutOfRangeError,
     contact_count,
@@ -27,6 +28,7 @@ from hexcontact.lattice import (
     contact_threshold,
     descriptor,
     enumerate_grids,
+    lift,
     neighbors,
     scaled_sq_dist,
     seq_from_grid_id,
@@ -92,10 +94,71 @@ def pairwise_report(cfg):
     return sum(degrees) // 2, tuple(degrees), min(dists, default=None)
 
 
+def all_pairs_report(cfg):
+    """Contacts, degrees and minimum scaled distance from one loop over all
+    pairs of lifted balls: the reference for verify's offset lookup on
+    configurations too large for pairwise_report."""
+    threshold = contact_threshold(cfg.lattice)
+    cu, cw = (3, 8) if isinstance(cfg.lattice, Hexagonal) else (1, 2)
+    lifted = [lift(cfg.lattice, b) for b in cfg.balls]
+    degrees = [0] * len(lifted)
+    low = None
+    for (i, (u, v, w)), (j, (x, y, z)) in itertools.combinations(enumerate(lifted), 2):
+        d = cu * (u - x) ** 2 + (v - y) ** 2 + cw * (w - z) ** 2
+        low = d if low is None else min(low, d)
+        if d == threshold:
+            degrees[i] += 1
+            degrees[j] += 1
+    return sum(degrees) // 2, tuple(degrees), low
+
+
+def summary(report):
+    return report.contacts, report.degree_sequence, report.min_scaled_dist
+
+
 @given(grown_configs())
 def test_verify_matches_per_pair_metric(cfg):
     report = verify(cfg)
     assert (report.contacts, report.degree_sequence, report.min_scaled_dist) == pairwise_report(cfg)
+
+
+@st.composite
+def shifted_configs(draw):
+    """A grown configuration and its copy moved by up to 10^6 in i and j,
+    and in k on the octahedral lattice, where every translation is a
+    symmetry."""
+    cfg = draw(grown_configs())
+    far = st.integers(-10**6, 10**6)
+    di, dj = draw(far), draw(far)
+    dk = draw(far) if cfg.lattice == OCT else 0
+    moved = tuple((i + di, j + dj, k + dk) for i, j, k in cfg.balls)
+    return cfg, Configuration(cfg.lattice, moved)
+
+
+@given(shifted_configs())
+def test_verify_far_from_the_origin(pair):
+    cfg, moved = pair
+    report = verify(moved)
+    assert report == verify(cfg)
+    assert summary(report) == pairwise_report(moved)
+
+
+@pytest.fixture(scope="module")
+def swept_configs():
+    """Every configuration of a hex and an oct sweep to n = 200."""
+    hex_grids = [Hexagonal(s) for s in enumerate_grids(-2, 2)]
+    return {
+        "hex": [r.configuration for r in greedy_sweep(200, hex_grids, restarts=1)],
+        "oct": [r.configuration for r in greedy_sweep(200, [OCT], restarts=2)],
+    }
+
+
+@pytest.mark.parametrize("kind", ["hex", "oct"])
+def test_verify_matches_all_pairs_on_sweeps(swept_configs, kind):
+    configs = swept_configs[kind]
+    assert [len(c) for c in configs] == list(range(1, 201))
+    for cfg in configs:
+        assert summary(verify(cfg)) == all_pairs_report(cfg), len(cfg)
 
 
 class TestContactCount:
@@ -148,6 +211,47 @@ class TestVerify:
             verify(Configuration(lat, ((0, 0, 0), (0, 0, 2))))
         assert err.value.index == 1
 
+    @pytest.mark.parametrize("lattice", [UP_GRID, OCT], ids=["hex", "oct"])
+    @pytest.mark.parametrize("balls", [(), ((3, -2, 1),)], ids=["no-ball", "one-ball"])
+    def test_fewer_than_two_balls(self, lattice, balls):
+        n = len(balls)
+        assert verify(Configuration(lattice, balls)) == ContactReport(n, 0, (0,) * n, None)
+
+    @pytest.mark.parametrize("lattice, far, dist", [
+        (UP_GRID, (5, 0, 0), 300),
+        (UP_GRID, (0, 0, 2), 48),
+        (OCT, (3, 0, 0), 36),
+        (OCT, (0, 0, 2), 16),
+    ])
+    def test_no_close_pair_reports_the_exact_minimum(self, lattice, far, dist):
+        balls = ((0, 0, 0), far)
+        assert verify(Configuration(lattice, balls)) == ContactReport(2, 0, (0, 0), dist)
+        assert pairwise_report(Configuration(lattice, balls))[2] == dist
+
+    def test_pair_spanning_the_key_stride(self):
+        # Lifted to (0, 0, 0) and (0, 6, 0): a span of 6, so the stride is
+        # 10.  At a stride of 9 the key of the first ball shifted by the
+        # contact offset (1, -3, 0) would equal the key of the second.
+        report = verify(Configuration(UP_GRID, ((0, 0, 0), (-1, 2, 0))))
+        assert report == ContactReport(2, 0, (0, 0), 36)
+
+    @pytest.mark.parametrize("shift", [(10, 0, 0), (10**6, -10**6, 0), (-10**6, 10**6, 0)])
+    def test_two_components(self, shift):
+        di, dj, dk = shift
+        far_tetra = tuple((i + di, j + dj, k + dk) for i, j, k in TETRA)
+        for balls in ((*TETRA, *far_tetra), (*far_tetra, *TETRA)):
+            cfg = Configuration(UP_GRID, balls)
+            assert verify(cfg) == ContactReport(8, 12, (3,) * 8, 12)
+            assert summary(verify(cfg)) == pairwise_report(cfg)
+
+    def test_oct_clusters_near_a_million(self):
+        shell = ((0, 0, 0), *neighbors(OCT, (0, 0, 0)))
+        balls = tuple((i + 10**6, j - 10**6, k + 10**6) for i, j, k in shell)
+        balls += tuple((i - 10**6, j + 10**6, k - 10**6) for i, j, k in shell)
+        report = verify(Configuration(OCT, balls))
+        assert report == ContactReport(26, 72, (12, *(5,) * 12) * 2, 4)
+        assert summary(report) == pairwise_report(Configuration(OCT, balls))
+
     def test_degree_bound(self):
         rng = random.Random(11)
         for _ in range(20):
@@ -155,6 +259,50 @@ class TestVerify:
             report = verify(cfg)
             assert all(d <= 12 for d in report.degree_sequence)
             assert report.contacts <= 6 * report.n
+
+
+class TestFloorCheck:
+    """With ``lift`` replaced by the identity, ball coordinates are lifted
+    coordinates, so a pair can sit at any difference, closer than any
+    lattice allows."""
+
+    @pytest.fixture(autouse=True)
+    def identity_lift(self, monkeypatch):
+        monkeypatch.setattr("hexcontact.contact.lift", lambda lattice, p: p)
+
+    @pytest.mark.parametrize("lattice", [UP_GRID, OCT], ids=["hex", "oct"])
+    def test_every_small_difference(self, lattice):
+        # Each difference alone, then beside a far touching pair, whose hit
+        # keeps the all-pairs fallback from covering a missed difference.
+        threshold = contact_threshold(lattice)
+        cu, cw = (3, 8) if lattice == UP_GRID else (1, 2)
+        far_pair = ((100, 0, 0), (102, 0, 0))  # lifted difference (2, 0, 0) touches on both forms
+        r = range(-4, 5)
+        for du, dv, dw in itertools.product(r, r, r):
+            if (du, dv, dw) == (0, 0, 0):
+                continue
+            d = cu * du * du + dv * dv + cw * dw * dw
+            alone = Configuration(lattice, ((0, 0, 0), (du, dv, dw)))
+            beside = Configuration(lattice, (*alone.balls, *far_pair))
+            if d < threshold:
+                for cfg in (alone, beside):
+                    with pytest.raises(RuntimeError, match=f"distance {d} below contact threshold {threshold};"):
+                        verify(cfg)
+            else:
+                t = int(d == threshold)
+                assert verify(alone) == ContactReport(2, t, (t, t), d)
+                assert verify(beside) == ContactReport(4, t + 1, (t, t, 1, 1), threshold)
+
+    def test_squeezed_tetrahedron(self):
+        # lifted (0, 0, 0) and (0, 1, 0) differ by 1 under 3du^2 + dv^2 + 8dw^2
+        with pytest.raises(RuntimeError, match="distance 1 below contact threshold 12;"):
+            verify(Configuration(UP_GRID, TETRA))
+
+    def test_input_errors_come_first(self):
+        with pytest.raises(DuplicateBallError):
+            verify(Configuration(UP_GRID, (*TETRA, TETRA[0])))
+        with pytest.raises(LayerOutOfRangeError):
+            verify(Configuration(UP_GRID, (*TETRA, (0, 0, 5))))
 
 
 class TestPrefix:
