@@ -294,6 +294,8 @@ def read_jsonl(source: str | IO[str]) -> Configuration:
     for key in ("lattice", "n"):
         if key not in header:
             raise ValueError(f"line 1: header missing {key!r}")
+    if not isinstance(header["lattice"], str):
+        raise ValueError(f"line 1: lattice must be a descriptor string, got {header['lattice']!r}")
     try:
         lattice = parse_descriptor(header["lattice"])
     except ValueError as exc:

@@ -12,6 +12,12 @@ is the grid's mirror orientation.  A grid and its sign-flipped twin therefore
 produce mirror-image runs with identical contact counts, so sweeping only the
 grids normalized to a +1 first upward sign loses nothing.
 
+A run stores each point as one packed integer, its key tuple written as the
+digits of a mixed-radix number.  The radix is wide enough for every
+coordinate a run of the requested size can reach, so integer order is tuple
+order, and both tie rules pick the same point, with the same random draw, as
+they would on the tuples.
+
 A run reads its grid only through the neighbor offsets of the layers its
 balls reach, so grids that agree on those make the same run.  A sweep
 therefore starts one shared run per kind and orientation and splits it,
@@ -134,27 +140,43 @@ class _Grid:
 class _Branch:
     """One greedy run, shared by every grid in ``grids``.
 
-    Points are stored as keys (k, s*i, s*j), so the lexicographic tie rule is
-    plain tuple order.  ``counts`` maps each frontier key to the number of
-    placed balls it touches and each placed key to -1; ``buckets[c]`` holds
-    the frontier keys touching c balls.  The last placed ball is not yet
-    absorbed into the frontier.  ``layers`` holds the offsets of every layer
-    reached so far, on which all of ``grids`` agree.
+    Points are stored as packed keys: the point with orientation-adjusted
+    coordinates (k, s*i, s*j) is the integer ``((k + base) * stride + s*i +
+    base) * stride + s*j + base``, with ``stride = 2 * base + 1`` and
+    ``base`` the largest start coordinate in absolute value plus ``n_max -
+    1``.  Only the first ``n_max - 1`` balls are ever absorbed, and each
+    neighbor offset moves each coordinate by at most 1, so no stored point
+    has a coordinate further than ``n_max - 1`` from the start's.  Every
+    digit therefore lies in 0..stride-1, the key is a non-negative mixed-radix
+    number, and integer order is tuple order: the lexicographic tie rule is
+    plain integer order, and a neighbor is the key plus a fixed delta.
+
+    ``counts`` maps each frontier key to the number of placed balls it
+    touches and each placed key to -1; ``buckets[c]`` holds the frontier keys
+    touching c balls.  The last placed ball is not yet absorbed into the
+    frontier.  ``layers`` maps ``key // stride**2``, the layer plus ``base``,
+    to the key deltas of every layer reached so far, on which all of
+    ``grids`` agree.
     """
 
     grids: list[_Grid]
     rng: random.Random | None
-    counts: dict[Point, int]
-    buckets: list[set[Point]]
-    placed: list[Point]
+    base: int
+    stride: int
+    counts: dict[int, int]
+    buckets: list[set[int]]
+    placed: list[int]
     curve: list[int]
-    layers: dict[int, tuple[Point, ...]]
+    layers: dict[int, tuple[int, ...]]
 
     @classmethod
-    def start(cls, grids: list[_Grid], rng: random.Random | None, point: Point) -> "_Branch":
-        """A run whose first ball is ``point``."""
-        key = (point[2], grids[0].sign * point[0], grids[0].sign * point[1])
-        return cls(grids, rng, {key: -1}, [set() for _ in range(13)], [key], [0, 0], {})
+    def start(cls, grids: list[_Grid], rng: random.Random | None, point: Point, n_max: int) -> "_Branch":
+        """A run of up to ``n_max`` balls whose first ball is ``point``."""
+        base = max(map(abs, point)) + n_max - 1
+        stride = 2 * base + 1
+        s = grids[0].sign
+        key = ((point[2] + base) * stride + s * point[0] + base) * stride + s * point[1] + base
+        return cls(grids, rng, base, stride, {key: -1}, [set() for _ in range(13)], [key], [0, 0], {})
 
     def fork(self, grids: list[_Grid]) -> "_Branch":
         """A copy of this run for a subset of its grids."""
@@ -163,9 +185,14 @@ class _Branch:
             rng = random.Random()
             rng.setstate(self.rng.getstate())
         return _Branch(
-            grids, rng, dict(self.counts), [set(b) for b in self.buckets],
+            grids, rng, self.base, self.stride, dict(self.counts), [set(b) for b in self.buckets],
             self.placed[:], self.curve[:], dict(self.layers),
         )
+
+    def deltas(self, offs: tuple[Point, ...]) -> tuple[int, ...]:
+        """The key deltas of offsets (dk, s*di, s*dj)."""
+        stride = self.stride
+        return tuple((dk * stride + da) * stride + db for dk, da, db in offs)
 
 
 def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
@@ -174,34 +201,38 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
     All grids of a branch share one orientation.  When a ball reaches a layer
     whose offsets differ among the grids, the branch splits by those offsets;
     every part but the last continues in a copy.  Yields each finished run.
+    ``n_max`` must not exceed the size the branch was started for.
     """
     grids, rng, counts, buckets = branch.grids, branch.rng, branch.counts, branch.buckets
     placed, curve, layers = branch.placed, branch.curve, branch.layers
+    base, stride = branch.base, branch.stride
+    plane = stride * stride
+    lo, hi = base - bound, base + bound  # the bounded range of a packed digit
     total = curve[-1]
     top = 12
     p = placed[-1]
     while len(placed) < n_max:
-        k, a, b = p
-        offs = layers.get(k)
-        if offs is None:
+        layer = p // plane
+        deltas = layers.get(layer)
+        if deltas is None:
             parts: dict[tuple[Point, ...], list[_Grid]] = {}
             for g in grids:
-                parts.setdefault(g.offsets(k), []).append(g)
+                parts.setdefault(g.offsets(layer - base), []).append(g)
             *forks, (offs, grids) = parts.items()
             for fork_offs, part in forks:
                 child = branch.fork(part)
-                child.layers[k] = fork_offs
+                child.layers[layer] = child.deltas(fork_offs)
                 yield from _walk(child, n_max, bound)
             branch.grids = grids
-            layers[k] = offs
-        for dk, da, db in offs:
-            q = (k + dk, a + da, b + db)
+            deltas = layers[layer] = branch.deltas(offs)
+        for d in deltas:
+            q = p + d
             c = counts.get(q, 0)
             if c < 0:
                 continue
             if c:
                 buckets[c].remove(q)
-            elif bound and (abs(q[1]) > bound or abs(q[2]) > bound):
+            elif bound and not (lo <= q % stride <= hi and lo <= q // stride % stride <= hi):
                 continue
             c += 1
             counts[q] = c
@@ -227,8 +258,13 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
 
 def _balls(branch: _Branch) -> list[Point]:
     """The placed balls of a finished run in grid coordinates."""
-    s = branch.grids[0].sign
-    return [(s * a, s * b, k) for k, a, b in branch.placed]
+    s, base, stride = branch.grids[0].sign, branch.base, branch.stride
+    balls = []
+    for key in branch.placed:
+        rest, b = divmod(key, stride)
+        k, a = divmod(rest, stride)
+        balls.append((s * (a - base), s * (b - base), k - base))
+    return balls
 
 
 def greedy(params: GreedyParams) -> Configuration:
@@ -239,7 +275,7 @@ def greedy(params: GreedyParams) -> Configuration:
     else:
         rng = None
         tag = "lex"
-    start = _Branch.start([_Grid(0, params.lattice)], rng, params.start)
+    start = _Branch.start([_Grid(0, params.lattice)], rng, params.start, params.n_max)
     (run,) = _walk(start, params.n_max, params.horizontal_bound)
     provenance = f"greedy:{tag}:grid={descriptor(params.lattice)}"
     return Configuration(params.lattice, tuple(_balls(run)), provenance)
@@ -280,7 +316,7 @@ def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int]) -> list[_Winner
     rng = None if restart == 0 else random.Random(base_seed + restart)
 
     def runs() -> Iterator[list[_Winner | None]]:
-        for run in _walk(_Branch.start(grids, rng, (0, 0, 0)), n_max, bound):
+        for run in _walk(_Branch.start(grids, rng, (0, 0, 0), n_max), n_max, bound):
             rep = min(run.grids, key=lambda g: (g.gid, g.index))
             rank = (rep.gid, restart, rep.index)
             balls = _balls(run)
@@ -551,6 +587,7 @@ def write_sweep_csv(path: str, records: Iterable[SweepRecord], runtime_ms: int) 
 def read_sweep_csv(path: str) -> list[SweepRecord]:
     """Read a sweep CSV back into records (without configurations)."""
     records = []
+    seen: set[int] = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(SWEEP_CSV_COLUMNS[:5]) - set(reader.fieldnames or ())
@@ -563,6 +600,9 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
                 restarts = int(row["restarts"])
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: line {lineno}: non-integer field") from None
+            if n in seen:
+                raise ValueError(f"{path}: line {lineno}: repeated n = {n}")
+            seen.add(n)
             gid = _lattice_id(parse_descriptor(row["grid"])) if row["grid"] else -1
             records.append(SweepRecord(n, contacts, gid, None, row["algorithm"], restarts))
     return records

@@ -274,6 +274,18 @@ class TestVerifyCommand:
         assert code == 2
         assert stderr.startswith(f"{path}: line {line}: ")
 
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    @pytest.mark.parametrize("lattice", [5, None, ["oct"]], ids=["int", "null", "list"])
+    def test_non_string_lattice_exit_2(self, command, lattice, tmp_path, capsys):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"lattice": lattice, "n": 0}) + "\n")
+        extra = ["--out", str(tmp_path)] if command == "export" else []
+        code, _, stderr = run([command, path, *extra], capsys)
+        assert code == 2
+        assert stderr.startswith(f"{path}: line 1: lattice must be a descriptor string")
+        assert "Traceback" not in stderr
+
 
 class TestCompareCommand:
     @pytest.fixture()
@@ -301,6 +313,21 @@ class TestCompareCommand:
              os.path.join(b, "sweep_oct.csv"), "--out", a], capsys)
         assert code == 2
         assert "different n ranges" in stderr
+
+    def test_compare_rejects_repeated_n(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        run(["sweep", "--layers", "0..1", "--n", "3", "--out", out], capsys)
+        run(["sweep", "--lattice", "oct", "--n", "3", "--out", out], capsys)
+        hex_csv = os.path.join(out, "sweep_hex.csv")
+        with open(hex_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(hex_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0], rows[1], rows[1], *rows[2:]])
+        code, _, stderr = run(
+            ["compare", hex_csv, os.path.join(out, "sweep_oct.csv"), "--out", out], capsys)
+        assert code == 2
+        assert stderr == f"compare failed: {hex_csv}: line 3: repeated n = 1\n"
+        assert not os.path.exists(os.path.join(out, "comparison.csv"))
 
     def test_uncreatable_out_dir_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "run")

@@ -114,7 +114,7 @@ def shared_runs(lattices, n_max, restart, base_seed=0, bound=0):
     """(balls, curve) per input index, read off the shared walk."""
     out = {}
     for sub in search._subtrees([search._Grid(i, g) for i, g in enumerate(lattices)]):
-        start = search._Branch.start(sub, restart_rng(restart, base_seed), (0, 0, 0))
+        start = search._Branch.start(sub, restart_rng(restart, base_seed), (0, 0, 0), n_max)
         for run in search._walk(start, n_max, bound):
             balls = search._balls(run)
             for g in run.grids:
@@ -195,3 +195,31 @@ def test_exhaustion_matches_reference():
     with pytest.raises(FrontierExhaustedError) as ref:
         reference_sweep(100, NINE_LAYERS, restarts=1, bound=1)
     assert shared.value.placed == ref.value.placed == 81
+
+
+# Starts far from the origin, mirror orientations and edge layers: the packed
+# keys of a run reach their extreme digits when a ball steps outward from
+# the start's largest coordinate, which seeded ties at n_max = 2 do often.
+FAR = 10**6
+EDGE_STARTS = [
+    (NINE_LAYERS[77], (FAR, -FAR, 0), 0),
+    (ALL_NINE_LAYERS[3], (FAR, -FAR, 4), 0),
+    (ALL_NINE_LAYERS[3], (-FAR, FAR, -4), 0),
+    (OCT, (0, 0, -FAR), 0),
+    (OCT, (FAR, FAR, FAR), 0),
+    (NINE_LAYERS[0], (3, -3, 0), 3),
+    (ALL_NINE_LAYERS[3], (-3, 3, -4), 3),
+    (OCT, (3, 3, 0), 3),
+    (NINE_LAYERS[77], (FAR, -FAR, 2), FAR),
+]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 200])
+@pytest.mark.parametrize("lattice, start, bound", EDGE_STARTS,
+                         ids=[f"{descriptor(l)}@{s}/{b}" for l, s, b in EDGE_STARTS])
+def test_key_packing_edges_match_reference(lattice, start, bound, n_max):
+    for seed in [None, *range(16 if n_max < 200 else 3)]:
+        rule = search.LEX if seed is None else SeededRandom(seed)
+        cfg = greedy(GreedyParams(lattice, n_max, rule, start=start, horizontal_bound=bound))
+        rng = None if seed is None else random.Random(seed)
+        assert list(cfg.balls) == reference_run(lattice, n_max, rng, start, bound)[0], seed
