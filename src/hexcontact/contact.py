@@ -15,6 +15,13 @@ private formatter writes the ball lines, giving the bytes ``json.dumps``
 would.  A sweep's files are prefixes of a few greedy runs, so
 :func:`write_jsonl_files` formats each run's lines once and writes every
 file from a slice of them.
+
+:func:`read_jsonl` checks the header record with ``json.loads``, then
+matches all ball lines at once against one anchored pattern of the exact
+layout the writer gives them, and converts only the integer coordinates.
+A file in which any ball line differs from that layout, hand-edited or
+written by another program, is decoded line by line with ``json.loads``
+instead, which gives the same configuration or names the bad line.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -268,11 +276,32 @@ def write_jsonl_files(pairs: Iterable[tuple[Configuration, str]]) -> None:
                 fh.write(_header_line(config) + body)
 
 
+# A ball line exactly as _ball_lines writes it, capturing i, j and k.  The
+# numbers follow the JSON grammar with ASCII digits only (``\d`` would take
+# other scripts' digits, which JSON rejects), and the integer parts have at
+# most 640 digits, the lowest limit that Python's int-string conversion can
+# be set to, so ``json.loads`` accepts every line that matches.
+_JSON_INT = r"-?(?:0|[1-9][0-9]{0,639})"
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_BALL_LINE = re.compile(
+    rf'^\{{"index": {_JSON_INT}, "i": ({_JSON_INT}), "j": ({_JSON_INT}), "k": ({_JSON_INT}), '
+    rf'"x": {_JSON_NUMBER}, "y": {_JSON_NUMBER}, "z": {_JSON_NUMBER}\}}$',
+    re.MULTILINE,
+)
+
+
 def read_jsonl(source: str | IO[str]) -> Configuration:
     """Read a configuration written by :func:`write_jsonl`.
 
     The integer lattice coordinates are authoritative; Cartesian fields are
     ignored.  Raises ValueError with a line number on malformed input.
+
+    Leading and trailing whitespace and blank lines are skipped.  After the
+    header, the ball lines are joined with newlines and matched in one pass
+    against the writer's exact layout; when every line matches, the balls
+    are read from the matches.  Otherwise every ball line goes through
+    ``json.loads``, which accepts any JSON object with integer i, j and k,
+    and the first bad line is named in the error.
     """
     if isinstance(source, str):
         with open(source) as fh:
@@ -305,11 +334,16 @@ def read_jsonl(source: str | IO[str]) -> Configuration:
         raise ValueError(f"line 1: bad ball count {n!r}")
     if len(lines) - 1 != n:
         raise ValueError(f"line 1: header says {n} balls, file has {len(lines) - 1}")
-    balls = []
-    for lineno, text in enumerate(lines[1:], start=2):
-        rec = load(lineno, text)
-        i, j, k = rec.get("i"), rec.get("j"), rec.get("k")
-        if not (type(i) is type(j) is type(k) is int):  # JSON integers only: no bool, float or str
-            raise ValueError(f"line {lineno}: ball record needs integer i, j, k")
-        balls.append((i, j, k))
+    body = "\n".join(lines[1:])
+    # With no newline inside a line, each anchored match is one whole line.
+    if body.count("\n") == n - 1 and len(matches := _BALL_LINE.findall(body)) == n:
+        balls = [(int(i), int(j), int(k)) for i, j, k in matches]
+    else:
+        balls = []
+        for lineno, text in enumerate(lines[1:], start=2):
+            rec = load(lineno, text)
+            i, j, k = rec.get("i"), rec.get("j"), rec.get("k")
+            if not (type(i) is type(j) is type(k) is int):  # JSON integers only: no bool, float or str
+                raise ValueError(f"line {lineno}: ball record needs integer i, j, k")
+            balls.append((i, j, k))
     return Configuration(lattice, tuple(balls), str(header.get("provenance", "")))

@@ -16,7 +16,8 @@ A run stores each point as one packed integer, its key tuple written as the
 digits of a mixed-radix number.  The radix is wide enough for every
 coordinate a run of the requested size can reach, so integer order is tuple
 order, and both tie rules pick the same point, with the same random draw, as
-they would on the tuples.
+they would on the tuples.  A sweep keeps its runs packed, and decodes a run
+to grid coordinates only when it wins some size.
 
 A run reads its grid only through the neighbor offsets of the layers its
 balls reach, so grids that agree on those make the same run.  A sweep
@@ -256,11 +257,21 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
     yield branch
 
 
-def _balls(branch: _Branch) -> list[Point]:
-    """The placed balls of a finished run in grid coordinates."""
-    s, base, stride = branch.grids[0].sign, branch.base, branch.stride
+# A finished run as its packed keys, sign, base and stride: what a sweep
+# worker returns, decoded by _balls only for runs that win some size.
+_Packed = tuple[list[int], int, int, int]
+
+
+def _packed(branch: _Branch) -> _Packed:
+    """A finished run, packed."""
+    return branch.placed, branch.grids[0].sign, branch.base, branch.stride
+
+
+def _balls(run: _Packed) -> list[Point]:
+    """The placed balls of a packed run in grid coordinates."""
+    keys, s, base, stride = run
     balls = []
-    for key in branch.placed:
+    for key in keys:
         rest, b = divmod(key, stride)
         k, a = divmod(rest, stride)
         balls.append((s * (a - base), s * (b - base), k - base))
@@ -278,7 +289,7 @@ def greedy(params: GreedyParams) -> Configuration:
     start = _Branch.start([_Grid(0, params.lattice)], rng, params.start, params.n_max)
     (run,) = _walk(start, params.n_max, params.horizontal_bound)
     provenance = f"greedy:{tag}:grid={descriptor(params.lattice)}"
-    return Configuration(params.lattice, tuple(_balls(run)), provenance)
+    return Configuration(params.lattice, tuple(_balls(_packed(run))), provenance)
 
 
 @dataclass(frozen=True)
@@ -294,8 +305,8 @@ class SweepRecord:
 
 
 # Per-n winner of part of a sweep: (contacts, (grid id, restart, input index),
-# balls).  Contacts descending, then the rank ascending, wins.
-_Winner = tuple[int, tuple[int, int, int], list[Point]]
+# packed run).  Contacts descending, then the rank ascending, wins.
+_Winner = tuple[int, tuple[int, int, int], _Packed]
 
 
 def _best(results: Iterable[list[_Winner | None]], n_max: int) -> list[_Winner | None]:
@@ -319,8 +330,8 @@ def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int]) -> list[_Winner
         for run in _walk(_Branch.start(grids, rng, (0, 0, 0), n_max), n_max, bound):
             rep = min(run.grids, key=lambda g: (g.gid, g.index))
             rank = (rep.gid, restart, rep.index)
-            balls = _balls(run)
-            yield [None, *((c, rank, balls) for c in run.curve[1:])]
+            packed = _packed(run)
+            yield [None, *((c, rank, packed) for c in run.curve[1:])]
 
     return _best(runs(), n_max)
 
@@ -379,18 +390,23 @@ def greedy_sweep(
     else:
         best = _best(map(_sweep_subtree, tasks), n_max)
 
-    records = []
+    # Decode each winning run once, for every size it wins, and free its
+    # packed keys as soon as those records are made.
+    wins: dict[tuple[int, int, int], list[int]] = {}
     for n in range(1, n_max + 1):
-        c, (gid, r, index), balls = best[n]  # type: ignore[misc]
+        wins.setdefault(best[n][1], []).append(n)  # type: ignore[index]
+    records: dict[int, SweepRecord] = {}
+    for (gid, r, index), sizes in wins.items():
+        balls = _balls(best[sizes[0]][2])  # type: ignore[index]
         lattice = grids[index]
         tag = "lex" if r == 0 else f"seed={base_seed + r}"
-        config = Configuration(
-            lattice,
-            tuple(balls[:n]),
-            f"greedy:{tag}:grid={descriptor(lattice)}",
-        )
-        records.append(SweepRecord(n, c, gid, config, "greedy", r))
-    return records
+        provenance = f"greedy:{tag}:grid={descriptor(lattice)}"
+        for n in sizes:
+            c = best[n][0]  # type: ignore[index]
+            best[n] = None
+            config = Configuration(lattice, tuple(balls[:n]), provenance)
+            records[n] = SweepRecord(n, c, gid, config, "greedy", r)
+    return [records[n] for n in range(1, n_max + 1)]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@ import io
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hexcontact import cli
 from hexcontact.contact import (
     Configuration,
     ContactReport,
@@ -30,6 +32,7 @@ from hexcontact.lattice import (
     enumerate_grids,
     lift,
     neighbors,
+    parse_descriptor,
     scaled_sq_dist,
     seq_from_grid_id,
     to_cartesian,
@@ -536,3 +539,170 @@ class TestJsonlFormatter:
         balls = data.draw(st.lists(st.tuples(coordinate, coordinate, layers), max_size=12, unique=True))
         config = Configuration(lattice, tuple(balls), data.draw(st.text(max_size=8)))
         assert written(config) == reference_jsonl(config)
+
+
+def reference_read_jsonl(source):
+    """The per-line reader: ``json.loads`` on every line.  The reference for
+    :func:`read_jsonl`, which must give the same configuration or raise the
+    same error on every input."""
+    if isinstance(source, str):
+        with open(source) as fh:
+            return reference_read_jsonl(fh)
+    lines = [ln for ln in (raw.strip() for raw in source) if ln]
+    if not lines:
+        raise ValueError("line 1: empty configuration file")
+
+    def load(lineno, text):
+        try:
+            rec = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise ValueError(f"line {lineno}: expected a JSON object")
+        return rec
+
+    header = load(1, lines[0])
+    for key in ("lattice", "n"):
+        if key not in header:
+            raise ValueError(f"line 1: header missing {key!r}")
+    if not isinstance(header["lattice"], str):
+        raise ValueError(f"line 1: lattice must be a descriptor string, got {header['lattice']!r}")
+    try:
+        lattice = parse_descriptor(header["lattice"])
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
+    n = header["n"]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"line 1: bad ball count {n!r}")
+    if len(lines) - 1 != n:
+        raise ValueError(f"line 1: header says {n} balls, file has {len(lines) - 1}")
+    balls = []
+    for lineno, text in enumerate(lines[1:], start=2):
+        rec = load(lineno, text)
+        i, j, k = rec.get("i"), rec.get("j"), rec.get("k")
+        if not (type(i) is type(j) is type(k) is int):
+            raise ValueError(f"line {lineno}: ball record needs integer i, j, k")
+        balls.append((i, j, k))
+    return Configuration(lattice, tuple(balls), str(header.get("provenance", "")))
+
+
+def outcome(read, text, newline="\n"):
+    """What ``read`` makes of a file text, read with the given line end: the
+    configuration, or the type and message of the error it raises."""
+    if newline == "\n":
+        stream = io.StringIO(text, newline=newline)
+    else:  # StringIO would turn each "\n" of the text into the line end
+        stream = io.TextIOWrapper(io.BytesIO(text.encode()), newline=newline)
+    try:
+        return read(stream)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def read_counting_loads(source):
+    """read_jsonl's result and how many times it called ``json.loads``: once,
+    for the header, when every ball line took the one-pass match."""
+    with mock.patch("hexcontact.contact.json.loads", wraps=json.loads) as loads:
+        config = read_jsonl(source)
+    return config, loads.call_count
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Every configuration file of a hex sweep, an oct sweep and a hex and an
+    oct exact column for n = 0..12, written by the command line."""
+    out = tmp_path_factory.mktemp("cli_files")
+    window = ["--window", "-1..1,-1..1,-1..1", "--n", "0..12"]
+    runs = [
+        ["sweep", "--layers", "-2..2", "--n", "120", "--restarts", "1", "--workers", "1"],
+        ["sweep", "--lattice", "oct", "--n", "120", "--restarts", "4", "--workers", "1"],
+        ["exhaustive", *window],
+        ["exhaustive", "--lattice", "oct", *window],
+    ]
+    paths = []
+    for idx, argv in enumerate(runs):
+        assert cli.main([*argv, "--out", str(out / str(idx))]) == 0
+        paths += sorted(str(p) for p in (out / str(idx)).glob("*.jsonl"))
+    return paths
+
+
+# A written file, perturbed: (description, file text, newline mode for reading).
+HEADER_2 = '{"lattice": "oct", "n": 2, "provenance": ""}\n'
+BALL_0 = '{"index": 0, "i": 1, "j": 0, "k": 0, "x": 1.0, "y": 0.0, "z": 0.0}\n'
+BALL_1 = '{"index": 1, "i": 0, "j": 0, "k": 0, "x": 0.0, "y": 0.0, "z": 0.0}\n'
+
+
+def with_i(value):
+    return HEADER_2 + BALL_0.replace('"i": 1,', f'"i": {value},') + BALL_1
+
+
+PERTURBED = [
+    ("as written", HEADER_2 + BALL_0 + BALL_1, "\n"),
+    ("split object", HEADER_2 + '{"i":1,"j":2,"k":3}, {"i":1,"j":2,"k":4,"p":[{}\n{}]}\n', "\n"),
+    *((f"i = {value}", with_i(value), "\n") for value in ("01", "+1", "١", "1١", "1.", ".5", "1e2", "true", "-0")),
+    ("x = NaN", HEADER_2 + BALL_0.replace('"x": 1.0', '"x": NaN') + BALL_1, "\n"),
+    ("x = 1.٥", HEADER_2 + BALL_0.replace('"x": 1.0', '"x": 1.٥') + BALL_1, "\n"),
+    ("x = Infinity", HEADER_2 + BALL_0.replace('"x": 1.0', '"x": Infinity') + BALL_1, "\n"),
+    ("repeated i", HEADER_2 + BALL_0.replace('"i": 1,', '"i": 1, "i": 5,') + BALL_1, "\n"),
+    ("reordered keys", HEADER_2 + '{"k": 0, "j": 0, "i": 1, "index": 0}\n' + BALL_1, "\n"),
+    ("no space after colon", HEADER_2 + BALL_0.replace(": ", ":") + BALL_1, "\n"),
+    ("padded lines", HEADER_2 + "  " + BALL_0.replace("\n", " \t\n") + "\t" + BALL_1, "\n"),
+    ("blank lines", HEADER_2 + "\n" + BALL_0 + " \n\n" + BALL_1 + "\n", "\n"),
+    ("CRLF", (HEADER_2 + BALL_0 + BALL_1).replace("\n", "\r\n"), "\n"),
+    ("CR inside a line", HEADER_2 + BALL_0.replace(", ", ",\r ", 1) + BALL_1, "\n"),
+    # read with "\r" as the line end, the two ball lines form one line
+    ("LF inside a line", HEADER_2.replace("\n", "\r") + BALL_0 + BALL_1.replace("\n", "\r"), "\r"),
+    ("LF inside a line, padded to n",
+     HEADER_2.replace("\n", "\r") + BALL_0 + BALL_1.replace("\n", "\r") + "not json\r", "\r"),
+    # beyond any integer-string limit; json.loads raises an unnumbered error
+    ("5000-digit index", HEADER_2 + BALL_0.replace('"index": 0', '"index": ' + "9" * 5000) + BALL_1, "\n"),
+    ("5000-digit x", HEADER_2 + BALL_0.replace('"x": 1.0', '"x": ' + "9" * 5000) + BALL_1, "\n"),
+]
+
+
+class TestJsonlReader:
+    def test_written_files_match_reference_and_skip_json_loads(self, cli_files):
+        assert len(cli_files) == 120 + 120 + 13 + 13
+        for path in cli_files:
+            config, loads = read_counting_loads(path)
+            assert config == reference_read_jsonl(path), path
+            assert loads == 1, path
+
+    @pytest.mark.parametrize("text, newline", [p[1:] for p in PERTURBED], ids=[p[0] for p in PERTURBED])
+    def test_perturbed_file_reads_as_reference(self, text, newline):
+        assert outcome(read_jsonl, text, newline) == outcome(reference_read_jsonl, text, newline)
+
+    def test_perturbations_cover_both_outcomes(self):
+        outcomes = [outcome(reference_read_jsonl, text, newline) for _, text, newline in PERTURBED]
+        assert any(isinstance(o, Configuration) for o in outcomes)
+        assert any(isinstance(o, tuple) and o[1].startswith("line 2: ") for o in outcomes)
+        assert any(isinstance(o, tuple) and "limit" in o[1] for o in outcomes)
+
+    @given(st.data())
+    def test_edited_file_reads_as_reference(self, data):
+        text = HEADER_2 + BALL_0 + BALL_1
+        at = data.draw(st.integers(len(HEADER_2), len(text)))
+        cut = data.draw(st.integers(0, 2))
+        insert = data.draw(st.text(alphabet='0123456789-+.eE",: {}\n\r١a', max_size=3))
+        edited = text[:at] + insert + text[at + cut:]
+        assert outcome(read_jsonl, edited) == outcome(reference_read_jsonl, edited)
+
+    @given(st.data())
+    def test_every_written_line_takes_the_one_pass_match(self, data):
+        # a change to the writer's layout must not silently move files to
+        # the per-line path
+        coordinate = st.integers(-10**17, 10**17) | st.sampled_from([-10**17, 10**17, 0, -1])
+        if data.draw(st.booleans()):
+            lattice, layers = OCT, coordinate
+        else:
+            lattice, layers = Hexagonal(seq_from_grid_id(-4, 4, data.draw(st.integers(0, 255)))), st.integers(-4, 4)
+        balls = data.draw(st.lists(st.tuples(coordinate, coordinate, layers), max_size=6, unique=True))
+        config = Configuration(lattice, tuple(balls), data.draw(st.text(max_size=4)))
+        assert read_counting_loads(io.StringIO(written(config))) == (config, 1)
+
+    @pytest.mark.parametrize("lattice", [OCT, UP_GRID])
+    def test_exponent_coordinates_take_the_one_pass_match(self, lattice):
+        config = Configuration(lattice, ((10**17, 0, 0), (-10**17, 10**17, -1)))
+        text = written(config)
+        assert "e+17" in text
+        assert read_counting_loads(io.StringIO(text)) == (config, 1)

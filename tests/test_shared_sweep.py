@@ -116,7 +116,7 @@ def shared_runs(lattices, n_max, restart, base_seed=0, bound=0):
     for sub in search._subtrees([search._Grid(i, g) for i, g in enumerate(lattices)]):
         start = search._Branch.start(sub, restart_rng(restart, base_seed), (0, 0, 0), n_max)
         for run in search._walk(start, n_max, bound):
-            balls = search._balls(run)
+            balls = search._balls(search._packed(run))
             for g in run.grids:
                 assert g.index not in out
                 out[g.index] = (balls, run.curve)
@@ -176,6 +176,17 @@ def test_octahedral():
     assert_runs_match([OCT], 120, restarts=6, base_seed=3)
     assert greedy_sweep(120, [OCT], restarts=6, base_seed=3) == reference_sweep(
         120, [OCT], restarts=6, base_seed=3)
+
+
+@pytest.mark.parametrize("lattices, restarts", [([OCT], 40), (NINE_LAYERS, 1)])
+def test_sweep_decodes_only_winning_runs(lattices, restarts, monkeypatch):
+    decoded = []
+    balls = search._balls
+    monkeypatch.setattr(search, "_balls", lambda run: decoded.append(run) or balls(run))
+    records = greedy_sweep(120, lattices, restarts=restarts, base_seed=3)
+    assert records == reference_sweep(120, lattices, restarts=restarts, base_seed=3)
+    winners = {(rec.configuration.lattice, rec.restarts_used) for rec in records}
+    assert len(decoded) == len(winners) < len(lattices) * (restarts + 1)
 
 
 @pytest.mark.parametrize("tie_rule", [None, 5])
