@@ -6,8 +6,8 @@ Four bundled tables drive the comparison reports:
   number c(n), exact for n <= 19, lower bounds from exhaustive 3x3x3-window
   searches for 20 <= n <= 27.
 * ``VERIFIED_CONTACTS``: lower bounds this package proves itself where they
-  beat the published table, each attained by a configuration that its own
-  exact search returns and ``verify`` confirms.
+  beat the published table or go past its end, each attained by a
+  configuration that its own exact search returns and ``verify`` confirms.
 * ``REFERENCE_GREEDY_HEX``: published greedy-sweep lower bounds over the 128
   normalized 9-layer hexagonal grids, n <= 200.  Used as the regression
   reference for our own sweeps; greedy tie-breaking differs between
@@ -61,6 +61,8 @@ VERIFIED_CONTACTS: dict[int, KnownValue] = {
     24: KnownValue(81, Status.LOWER_BOUND, "exhaustive -2..1,-2..1,-1..1 on hex:-1..1:01 (hexcontact)"),
     25: KnownValue(85, Status.LOWER_BOUND, "exhaustive -2..1,-2..1,-1..1 on hex:-1..1:01 (hexcontact)"),
     26: KnownValue(90, Status.LOWER_BOUND, "exhaustive -2..1,-2..1,-1..1 on hex:-1..1:11 (hexcontact)"),
+    27: KnownValue(94, Status.LOWER_BOUND, "exhaustive -2..1,-2..1,-1..1 on hex:-1..1:11 (hexcontact)"),
+    28: KnownValue(98, Status.LOWER_BOUND, "exhaustive -2..1,-2..1,-1..1 on hex:-1..1:11 (hexcontact)"),
 }
 
 _REFERENCE_GREEDY_ROWS = (

@@ -313,7 +313,7 @@ def read_jsonl(source: str | IO[str]) -> Configuration:
     def load(lineno: int, text: str) -> dict:
         try:
             rec = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also Python's int-string limit, not only bad JSON
             raise ValueError(f"line {lineno}: {exc}") from None
         if not isinstance(rec, dict):
             raise ValueError(f"line {lineno}: expected a JSON object")

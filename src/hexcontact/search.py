@@ -26,13 +26,12 @@ copying frontier and random state, when a ball reaches a layer whose offsets
 differ among the grids still sharing it.  The frontier is bucketed by
 contact count, so a step finds its best candidates without a full scan.
 
-The exact search enumerates n-subsets of a finite coordinate window depth
-first in (k, i, j) point order, pruning a branch when its contact count plus
-an optimistic bound on the remaining additions cannot beat the best subset
-found so far.  The bound needs no published value: the search first solves
-the same window for every smaller size r, and the balls still to place can
-add at most their best contact counts with the balls already chosen plus
-the window optimum for that many balls among themselves.
+The exact search is a Russian Doll Search over a finite coordinate window
+in (k, i, j) point order.  It needs no published value: it solves every
+suffix of the point order for every size up to n, from the last point
+backwards, and the suffix optima bound the searches of the longer suffixes.
+A last search per size, whose target is the known optimum, finds the first
+maximizer.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .lattice import (
     descriptor,
     grid_id,
     hex_layer_offsets,
-    neighbors,
     orientation,
     parse_descriptor,
 )
@@ -457,22 +455,24 @@ def exhaustive(
 ) -> tuple[int, list[Configuration], list[tuple[int, Configuration]]]:
     """Exact maximum contact count over all n-subsets of a window.
 
-    Depth-first subset enumeration in (k, i, j) point order with
-    branch-and-bound pruning.  The same search first finds the window optimum
-    c_W(r) for every r < n.  A branch that has just added a point, with r
-    balls still to place after it, can reach at most its contacts so far,
-    plus the r largest counts of already chosen neighbors among the later
-    points, plus c_W(r); it dies when that cannot improve on the incumbent,
-    or cannot match it when ``all_max`` is set.  The bound never undercounts,
-    so no branch holding the first maximizer in search order is cut, nor,
-    with ``all_max``, any maximizer.  Returns the optimum, the first
-    maximizing configuration, or all of them in search order when
-    ``all_max`` is set, and the column: for r = 0..n, the pair c_W(r) and
-    the first r-ball maximizer.
+    A Russian Doll Search in (k, i, j) point order.  From the last point
+    backwards it fills suffix[s][r], the most contacts of r <= n balls among
+    points s..: they skip s, scoring suffix[s + 1][r], or take s, scoring at
+    most cap = suffix[s + 1][r - 1] + min(r - 1, later neighbors of s).  A
+    depth-first search for the second kind must beat suffix[s + 1][r] and
+    stops at cap.  Its branches die when their contacts, plus the largest
+    chosen-neighbor counts of the later points, plus the suffix optimum of
+    those points, cannot reach the target; that optimum only falls as the
+    next point moves on, so the first such point ends its loop.  Then one
+    search per r, whose target is c_W(r) = suffix[0][r], stops at the first
+    maximizer in search order, or with ``all_max`` collects every maximizer
+    of n.  Returns the optimum, the first maximizing configuration, or all
+    of them in search order when ``all_max`` is set, and the column: for
+    r = 0..n, the pair c_W(r) and the first r-ball maximizer.
 
-    ``progress`` receives the nodes visited, the incumbent of the current
-    search and the branches pruned, every ``progress_interval`` nodes; the
-    counts cover the c_W(r) searches too.
+    ``progress`` receives the nodes visited, the value the current search
+    must beat or match, and the branches pruned, every ``progress_interval``
+    nodes; the counts cover the suffix searches too.
     """
     if isinstance(lattice, Hexagonal):
         seq = lattice.seq
@@ -488,51 +488,105 @@ def exhaustive(
     if n == 0:
         return 0, [empty], [(0, empty)]
 
-    index = {p: a for a, p in enumerate(pts)}
-    adj = [sum(1 << index[q] for q in neighbors(lattice, p) if q in index) for p in pts]
-    tails = [adj[a + 1:] for a in range(count)]  # the masks of the points after a
-    column = [0]  # column[r]: the window optimum c_W(r) for r balls
+    near = _window_neighbors(lattice, window)
+    # touch[a]: one byte per window point, 1 at each neighbor of a.  Summed
+    # over the chosen balls, byte b counts the chosen neighbors of point b;
+    # no point has more than 12 neighbors, so no byte carries into the next.
+    touch = [sum(1 << 8 * b for b in bs) for bs in near]
+    # suffix[s][r]: the most contacts of r balls among points s.., or -1 when
+    # fewer than r points remain
+    suffix = [[0] + [-1] * n for _ in range(count + 1)]
     nodes = pruned = 0
 
-    def dfs(start: int, left: int, contacts: int, mask: int) -> None:
-        nonlocal best, best_masks, nodes, pruned
+    def dfs(start: int, left: int, contacts: int, mask: int, counts: int, gain: int) -> bool:
+        """Add ``left`` points from ``start`` on to ``mask``, keeping branches
+        that can reach ``bar``; ``gain`` bounds the new points' contacts with
+        ``mask``.  True stops the search."""
+        nonlocal bar, nodes, pruned
         rest = left - 1
         for idx in range(start, count - rest):
             nodes += 1
-            nc = contacts + (adj[idx] & mask).bit_count()
+            # suffix[idx][left] only falls as idx grows: no later point does better
+            if contacts + gain + suffix[idx][left] < bar:
+                pruned += 1
+                if progress is not None and nodes % progress_interval == 0:
+                    progress(nodes, bar - step, pruned)
+                return False
+            nc = contacts + (counts >> 8 * idx & 255)
             grown = mask | 1 << idx
-            reachable = nc
+            more = counts + touch[idx]
             if rest:
-                gains = sorted([(m & grown).bit_count() for m in tails[idx]], reverse=True)
-                reachable += sum(gains[:rest]) + column[rest]
-            cut = reachable < best or (not keep_ties and reachable == best)
+                # the rest largest chosen-neighbor counts of the later points
+                ahead = (more >> 8 * idx + 8).to_bytes(count - idx - 1, "little")
+                if count - idx - 1 - ahead.count(0) <= rest:
+                    g = sum(ahead)
+                else:
+                    g = sum(sorted(ahead)[-rest:])
+                cut = nc + g + suffix[idx + 1][rest] < bar
+            else:
+                cut = nc < bar
             if cut:
                 pruned += 1
             elif not rest:
-                if nc > best:
-                    best, best_masks = nc, [grown]
-                else:
-                    best_masks.append(grown)
+                found.append(grown)
+                bar = nc + step
             if progress is not None and nodes % progress_interval == 0:
-                progress(nodes, best, pruned)
-            if rest and not cut:
-                dfs(idx + 1, rest, nc, grown)
+                progress(nodes, bar - step, pruned)
+            if not cut and (dfs(idx + 1, rest, nc, grown, more, g) if rest else nc >= stop):
+                return True
+        return False
 
+    # The suffixes, from the last point backwards; a subset must beat the
+    # incumbent, and reaching ``stop`` ends the search.
+    step = 1
+    found: list[int] = []
+    for s in range(count - 1, -1, -1):
+        row, skip = suffix[s], suffix[s + 1]
+        degree = sum(b > s for b in near[s])
+        row[1] = 0
+        for r in range(2, min(n, count - s) + 1):
+            bar, stop = skip[r] + 1, skip[r - 1] + min(r - 1, degree)
+            if bar <= stop:
+                found = []
+                dfs(s + 1, r - 1, 0, 1 << s, touch[s], min(r - 1, degree))
+            row[r] = bar - 1
+
+    # Every optimum is known: a subset must match it, and the first match
+    # ends the search unless every maximizer of n is wanted.
+    step = 0
     firsts = [0]  # firsts[r]: the mask of the first r-ball maximizer
     for size in range(1, n + 1):
-        keep_ties = all_max and size == n
-        best = -1
-        best_masks: list[int] = []
-        dfs(0, size, 0, 0)
-        column.append(best)
-        firsts.append(best_masks[0])
+        bar = suffix[0][size]
+        stop = bar + 1 if all_max and size == n else bar
+        found = []
+        dfs(0, size, 0, 0, 0, 0)
+        firsts.append(found[0])
+    column = suffix[0]
 
     def config(mask: int) -> Configuration:
         balls = tuple(pts[i] for i in range(count) if mask >> i & 1)
         return Configuration(lattice, balls, f"exhaustive:grid={descriptor(lattice)}")
 
-    configs = [config(mask) for mask in best_masks]
-    return best, configs, [(0, empty), *zip(column[1:], map(config, firsts[1:]))]
+    configs = [config(mask) for mask in found]
+    return column[n], configs, [(0, empty), *zip(column[1:], map(config, firsts[1:]))]
+
+
+def _window_neighbors(lattice: Lattice, window: Window) -> list[list[int]]:
+    """Per window point in (k, i, j) order, the indices of its neighbors in
+    the window, read off one neighbor-offset table per layer."""
+    (i0, i1), (j0, j1), (k0, k1) = window.i_range, window.j_range, window.k_range
+    ni, nj = i1 - i0 + 1, j1 - j0 + 1
+    near = []
+    for k in range(k0, k1 + 1):
+        offs = hex_layer_offsets(lattice.seq, k) if isinstance(lattice, Hexagonal) else OCT_OFFSETS
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                near.append([
+                    ((k + dk - k0) * ni + i + di - i0) * nj + j + dj - j0
+                    for di, dj, dk in offs
+                    if i0 <= i + di <= i1 and j0 <= j + dj <= j1 and k0 <= k + dk <= k1
+                ])
+    return near
 
 
 def _window_signature(lattice: Lattice, window: Window) -> object:

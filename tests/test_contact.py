@@ -555,7 +555,7 @@ def reference_read_jsonl(source):
     def load(lineno, text):
         try:
             rec = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also Python's int-string limit, not only bad JSON
             raise ValueError(f"line {lineno}: {exc}") from None
         if not isinstance(rec, dict):
             raise ValueError(f"line {lineno}: expected a JSON object")
@@ -677,6 +677,15 @@ class TestJsonlReader:
         assert any(isinstance(o, Configuration) for o in outcomes)
         assert any(isinstance(o, tuple) and o[1].startswith("line 2: ") for o in outcomes)
         assert any(isinstance(o, tuple) and "limit" in o[1] for o in outcomes)
+
+    @pytest.mark.parametrize("text, lineno", [
+        (HEADER_2 + BALL_0.replace('"index": 0', '"index": ' + "9" * 5000) + BALL_1, 2),
+        (HEADER_2.replace('"n": 2', '"n": ' + "9" * 5000) + BALL_0 + BALL_1, 1),
+    ], ids=["ball line", "header"])
+    def test_oversized_integer_names_its_line(self, text, lineno):
+        # Python's int-string limit raises a plain ValueError inside json.loads
+        with pytest.raises(ValueError, match=rf"^line {lineno}: Exceeds the limit"):
+            read_jsonl(io.StringIO(text))
 
     @given(st.data())
     def test_edited_file_reads_as_reference(self, data):

@@ -164,6 +164,58 @@ def brute_force(lattice, window, n):
     return best, maximizers
 
 
+def reference_exhaustive(lattice, window, n, all_max=False):
+    """The plain branch-and-bound search ``exhaustive`` replaced, kept as a
+    reference: one depth-first search per size r = 1..n, whose bound adds
+    the window optimum c_W(rest) for the balls still to place.  Same
+    arguments and return value as ``exhaustive``, without progress."""
+    pts = window.points()
+    count = len(pts)
+    empty = Configuration(lattice, (), "exhaustive")
+    if n == 0:
+        return 0, [empty], [(0, empty)]
+
+    index = {p: a for a, p in enumerate(pts)}
+    adj = [sum(1 << index[q] for q in neighbors(lattice, p) if q in index) for p in pts]
+    tails = [adj[a + 1:] for a in range(count)]  # the masks of the points after a
+    column = [0]  # column[r]: the window optimum c_W(r) for r balls
+
+    def dfs(start, left, contacts, mask):
+        nonlocal best, best_masks
+        rest = left - 1
+        for idx in range(start, count - rest):
+            nc = contacts + (adj[idx] & mask).bit_count()
+            grown = mask | 1 << idx
+            reachable = nc
+            if rest:
+                gains = sorted([(m & grown).bit_count() for m in tails[idx]], reverse=True)
+                reachable += sum(gains[:rest]) + column[rest]
+            cut = reachable < best or (not keep_ties and reachable == best)
+            if not cut and not rest:
+                if nc > best:
+                    best, best_masks = nc, [grown]
+                else:
+                    best_masks.append(grown)
+            if rest and not cut:
+                dfs(idx + 1, rest, nc, grown)
+
+    firsts = [0]  # firsts[r]: the mask of the first r-ball maximizer
+    for size in range(1, n + 1):
+        keep_ties = all_max and size == n
+        best = -1
+        best_masks = []
+        dfs(0, size, 0, 0)
+        column.append(best)
+        firsts.append(best_masks[0])
+
+    def config(mask):
+        balls = tuple(pts[i] for i in range(count) if mask >> i & 1)
+        return Configuration(lattice, balls, f"exhaustive:grid={descriptor(lattice)}")
+
+    configs = [config(mask) for mask in best_masks]
+    return best, configs, [(0, empty), *zip(column[1:], map(config, firsts[1:]))]
+
+
 WINDOW_333 = Window((-1, 1), (-1, 1), (-1, 1))
 
 
@@ -264,6 +316,47 @@ class TestExhaustive:
         cfg = greedy(GreedyParams(lattice, 5, horizontal_bound=1))
         value, _, _ = exhaustive(lattice, WINDOW_333, 5)
         assert value >= contact_count(cfg)
+
+
+def outcome(result):
+    """An exhaustive result as plain data: the value, the balls of each
+    returned maximizer, and the column's values and balls."""
+    value, configs, column = result
+    return value, [c.balls for c in configs], [(v, c.balls) for v, c in column]
+
+
+# Each window's distinct hexagonal restrictions, and the octahedral lattice.
+REFERENCE_333 = [*(Hexagonal(s) for s in enumerate_grids(-1, 1)), OCT]
+REFERENCE_36 = [
+    (lattice, window)
+    for window in (Window((-2, 1), (-1, 1), (-1, 1)), Window((-1, 1), (-2, 1), (-1, 1)),
+                   Window((-1, 1), (-1, 1), (-1, 2)))
+    for lattice in unique_window_grids(
+        [*(Hexagonal(s) for s in enumerate_grids(*window.k_range)), OCT], window)
+]
+
+
+class TestAgainstReference:
+    """The Russian-doll search against the plain search it replaced: the
+    same values, the same first maximizers and the same maximizer lists."""
+
+    @pytest.mark.parametrize("lattice", REFERENCE_333, ids=descriptor)
+    def test_full_333_column(self, lattice):
+        n = WINDOW_333.point_count
+        assert outcome(exhaustive(lattice, WINDOW_333, n)) == outcome(
+            reference_exhaustive(lattice, WINDOW_333, n))
+
+    @pytest.mark.parametrize("lattice", REFERENCE_333, ids=descriptor)
+    def test_all_maximizers_333(self, lattice):
+        for n in range(9):
+            assert outcome(exhaustive(lattice, WINDOW_333, n, all_max=True)) == outcome(
+                reference_exhaustive(lattice, WINDOW_333, n, all_max=True)), f"n={n}"
+
+    @pytest.mark.parametrize("case", REFERENCE_36, ids=case_id)
+    def test_36_point_windows(self, case):
+        lattice, window = case
+        assert outcome(exhaustive(lattice, window, 10)) == outcome(
+            reference_exhaustive(lattice, window, 10))
 
 
 class TestWindow:
