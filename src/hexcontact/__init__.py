@@ -15,15 +15,12 @@ from .bounds import (
     octahedral_bound,
     render_comparison,
     render_decade_table,
-    trivial_upper,
 )
 from .contact import (
     Configuration,
     ContactReport,
     DuplicateBallError,
     LayerOutOfRangeError,
-    contact_count,
-    prefix,
     read_jsonl,
     verify,
     write_jsonl,
@@ -35,7 +32,6 @@ from .lattice import (
     Lattice,
     Octahedral,
     Point,
-    contact_threshold,
     descriptor,
     enumerate_grids,
     grid_id,

@@ -110,13 +110,6 @@ REFERENCE_OCT_BETTER: dict[int, tuple[int, int]] = {
 }
 
 
-def known_c(n: int) -> KnownValue | None:
-    """Best published value of c(n), or None where nothing is tabulated."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return KNOWN_CONTACTS.get(n)
-
-
 def octahedral_bound(k: int) -> tuple[int, int]:
     """Lower-bound pair (n, contacts) of the k-th stacked-octahedron packing.
 
@@ -127,13 +120,6 @@ def octahedral_bound(k: int) -> tuple[int, int]:
         raise ValueError("k must be at least 1")
     n = (2 * k**3 + k) // 3
     return n, 4 * k**3 - 6 * k**2 + 2 * k
-
-
-def trivial_upper(n: int) -> int:
-    """Coarse cap 6n: every ball on a 12-regular grid has degree at most 12."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return 6 * n
 
 
 def octahedral_bound_by_n(n_max: int) -> dict[int, int]:
@@ -175,8 +161,8 @@ def compare_tables(
 ) -> list[ComparisonRow]:
     """Join two sweeps by n and flag where one side, or the literature, wins.
 
-    A value above the trivial 6n cap is an implementation bug and raises
-    instead of being clipped.
+    A value above the trivial 6n cap, every ball touching at most 12 others,
+    is an implementation bug and raises instead of being clipped.
     """
     hex_by_n = {r.n: r for r in hex_records}
     oct_by_n = {r.n: r for r in oct_records}
@@ -186,7 +172,7 @@ def compare_tables(
     for n in sorted(hex_by_n):
         h, o = hex_by_n[n].best_contacts, oct_by_n[n].best_contacts
         for label, v in (("hexagonal", h), ("octahedral", o)):
-            if v > trivial_upper(n):
+            if v > 6 * n:
                 raise ValueError(
                     f"{label} sweep reports {v} contacts for n={n}, above the 6n cap; "
                     "implementation bug"

@@ -158,7 +158,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     def progress(nodes: int, best: int, pruned: int) -> None:
         print(f"  nodes={nodes} best={best} pruned={100.0 * pruned / nodes:.1f}%", file=sys.stderr)
 
-    records = exhaustive_column(window, hi, grids, progress=progress)
+    records = exhaustive_column(window, hi, reps, progress=progress)
     out = _outdir(args)
     files = []
     for rec in records[lo:]:

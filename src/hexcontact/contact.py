@@ -1,14 +1,13 @@
 """Ball configurations on a lattice: contact counting, verification, file I/O.
 
 :func:`verify` is the contact oracle.  It lifts each ball once to the
-integer coordinates of :func:`~hexcontact.lattice.lift`, where the scaled
-squared distance of a pair is a diagonal quadratic form in the coordinate
+integer coordinates of its lattice's ``lift``, where the scaled squared
+distance of a pair is the lattice's diagonal ``form`` in the coordinate
 differences.  Only a few differences keep two balls within contact distance
 under that form, so it finds the close pairs by looking up each ball shifted
 by each of those differences, not by comparing every pair; only a
 configuration with no close pair at all falls back to a loop over all pairs
-for its minimum distance.  The incremental count used by the search code
-must agree with it exactly, which the test suite enforces.
+for its minimum distance.
 
 Configuration files are JSON lines: a header, then one line per ball.  One
 private formatter writes the ball lines, giving the bytes ``json.dumps``
@@ -26,6 +25,7 @@ instead, which gives the same configuration or names the bad line.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -33,19 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .lattice import (
-    HEX_CONTACT,
-    OCT_CONTACT,
-    Hexagonal,
-    Lattice,
-    Point,
-    contact_threshold,
-    descriptor,
-    lift,
-    parse_descriptor,
-    scaled_sq_dist,
-    to_cartesian,
-)
+from .lattice import Lattice, Point, descriptor, parse_descriptor, to_cartesian
 
 
 class DuplicateBallError(ValueError):
@@ -98,17 +86,10 @@ def _check_duplicates(balls: tuple[Point, ...]) -> None:
 
 
 def _check_layers(lattice: Lattice, balls: tuple[Point, ...]) -> None:
-    if not isinstance(lattice, Hexagonal):
-        return
-    t1, t2 = lattice.seq.t1, lattice.seq.t2
+    t1, t2 = lattice.layers
     for idx, b in enumerate(balls):
         if not t1 <= b[2] <= t2:
             raise LayerOutOfRangeError(idx, b[2], t1, t2)
-
-
-def contact_count(config: Configuration) -> int:
-    """Number of touching pairs, as counted by :func:`verify`."""
-    return verify(config).contacts
 
 
 # No difference within contact distance moves a lifted coordinate by more
@@ -116,23 +97,18 @@ def contact_count(config: Configuration) -> int:
 _REACH = 3
 
 
+@functools.cache
 def _close_offsets(cu: int, cw: int, threshold: int) -> tuple[tuple[int, int, int, int], ...]:
     """Every lifted difference (du, dv, dw) > (0, 0, 0) whose form value
     d = cu*du^2 + dv^2 + cw*dw^2 is at most the contact threshold, as
-    (du, dv, dw, d): one of each +- pair, read off the form alone."""
+    (du, dv, dw, d): one of each +- pair, read off the form alone.  22 on
+    hexagonal grids, 15 on the octahedral lattice."""
     r = range(-_REACH, _REACH + 1)
     return tuple(
         (du, dv, dw, d)
         for du, dv, dw in itertools.product(r, r, r)
         if (du, dv, dw) > (0, 0, 0) and (d := cu * du * du + dv * dv + cw * dw * dw) <= threshold
     )
-
-
-# Weights (cu, cw) of the diagonal form 3*du^2 + dv^2 + 8*dw^2 on hexagonal
-# grids and du^2 + dv^2 + 2*dw^2 on the octahedral lattice, with the close
-# offsets of each: 22 on hexagonal grids, 15 on the octahedral lattice.
-_HEX_FORM = (3, 8, _close_offsets(3, 8, HEX_CONTACT))
-_OCT_FORM = (1, 2, _close_offsets(1, 2, OCT_CONTACT))
 
 
 def verify(config: Configuration) -> ContactReport:
@@ -151,9 +127,9 @@ def verify(config: Configuration) -> ContactReport:
     _check_duplicates(config.balls)
     _check_layers(config.lattice, config.balls)
     lattice = config.lattice
-    threshold = contact_threshold(lattice)
-    cu, cw, offsets = _HEX_FORM if isinstance(lattice, Hexagonal) else _OCT_FORM
-    lifted = [lift(lattice, b) for b in config.balls]
+    threshold = lattice.contact
+    cu, cw = lattice.form
+    lifted = list(map(lattice.lift, config.balls))
     n = len(lifted)
     degrees = [0] * n
     contacts = 0
@@ -165,7 +141,7 @@ def verify(config: Configuration) -> ContactReport:
         stride = max(max(c) - min(c) for c in zip(*lifted)) + _REACH + 1
         keys = [(u * stride + v) * stride + w for u, v, w in lifted]
         index = {key: i for i, key in enumerate(keys)}
-        for du, dv, dw, d in offsets:
+        for du, dv, dw, d in _close_offsets(cu, cw, threshold):
             delta = (du * stride + dv) * stride + dw
             hits = index.keys() & map(delta.__add__, keys)
             if not hits:
@@ -187,30 +163,6 @@ def verify(config: Configuration) -> ContactReport:
             "points do not form a packing"
         )
     return ContactReport(n, contacts, tuple(degrees), None if n < 2 else low)
-
-
-def prefix(config: Configuration, n: int) -> Configuration:
-    """The first n balls, in original order, on the same lattice."""
-    if not 0 <= n <= len(config.balls):
-        raise ValueError(f"prefix length {n} out of range 0..{len(config.balls)}")
-    return Configuration(config.lattice, config.balls[:n], config.provenance)
-
-
-def incremental_delta(config: Configuration, p: Point) -> int:
-    """Contacts a new ball at ``p`` would add to the configuration."""
-    if p in config.balls:
-        raise DuplicateBallError(config.balls.index(p), len(config.balls))
-    threshold = contact_threshold(config.lattice)
-    return sum(1 for b in config.balls if scaled_sq_dist(config.lattice, p, b) == threshold)
-
-
-def reflect_configuration(config: Configuration) -> Configuration:
-    """Mirror image of a hexagonal-grid configuration on the flipped grid."""
-    if not isinstance(config.lattice, Hexagonal):
-        raise ValueError("reflection helper applies to hexagonal grids only")
-    mirrored = Hexagonal(config.lattice.seq.flipped())
-    balls = tuple((-i, -j, k) for i, j, k in config.balls)
-    return Configuration(mirrored, balls, config.provenance)
 
 
 def _header_line(config: Configuration) -> str:

@@ -7,16 +7,29 @@ sequence that identifies the grid.  Layer 0 is the fixed reference layer, so
 the sign at index 0 is always absent.  The octahedral lattice stacks square
 layers instead and carries no parameters.
 
-Contact decisions are exact: :func:`lift` maps every grid point to integer
-coordinates in which the squared Euclidean distance, multiplied by 3 for
-hexagonal grids (by 1 for the octahedral lattice), is a diagonal integer
-quadratic form.  Floating point enters only in :func:`to_cartesian`, used
-for export and plotting.
+:class:`Hexagonal` and :class:`Octahedral` own all of a lattice's geometry;
+the contact and search code read it off their attributes alone:
+
+* ``lift(p)``: integer coordinates (u, v, w) of a grid point in which a
+  scaled squared distance, 3*d^2 on hexagonal grids and d^2 on the
+  octahedral lattice, is the diagonal form cu*du^2 + dv^2 + cw*dw^2;
+* ``form``: the weights (cu, cw), (3, 8) or (1, 2);
+* ``contact``: the form's value for two touching balls, 12 or 4;
+* ``layers``: the layer range (t1, t2), unbounded on the octahedral lattice;
+* ``offsets(k)``: the neighbor offsets from layer k;
+* ``steps(k0, k1)``: how far the lifted origin moves in u at each layer step,
+  which with ``form`` fixes what a window over those layers sees;
+* ``gid`` and ``sign``: the grid id and the mirror orientation, -1 and +1 on
+  the octahedral lattice.
+
+Contact decisions are therefore exact.  Floating point enters only in
+:func:`to_cartesian`, used for export and plotting.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,11 +50,6 @@ STEP_UP_MINUS = (-1.0, -SQRT1_3, SQRT8_3)  # vertical - horizontal
 OCT_GEN_X = (2.0, 0.0, 0.0)
 OCT_GEN_Y = (0.0, 2.0, 0.0)
 OCT_GEN_Z = (1.0, 1.0, SQRT2)
-
-# Scaled squared center distance at which two unit balls touch.
-HEX_CONTACT = 12  # 3 * 2^2
-OCT_CONTACT = 4   # 2^2
-
 
 @dataclass(frozen=True)
 class EpsilonSeq:
@@ -140,25 +148,114 @@ def enumerate_grids(t1: int, t2: int, normalize: bool = True) -> list[EpsilonSeq
     return out
 
 
+# Horizontal neighbor offsets within one hexagonal layer.
+IN_LAYER_OFFSETS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
+
+# Horizontal neighbor offsets across one layer step, keyed by the step's
+# shift change ds (+1 or -1).  Derived from the scaled metric: these are the
+# only integer (di, dj) whose lifted difference has 3*du^2 + dv^2 = 4.
+STEP_OFFSETS = {
+    1: ((-1, 0), (0, -1), (0, 0)),
+    -1: ((0, 0), (0, 1), (1, 0)),
+}
+
+# The twelve octahedral neighbor offsets, sorted by (dz, dx, dy).
+OCT_OFFSETS = (
+    (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1),
+    (-1, 0, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0),
+    (-1, -1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1),
+)
+
+
 @dataclass(frozen=True)
 class Hexagonal:
     """A layered hexagonal grid, identified by its offset sequence."""
 
     seq: EpsilonSeq
 
+    # Weights (cu, cw) of 3*d^2 = cu*du^2 + dv^2 + cw*dw^2 on lifted
+    # differences, and its value when two unit balls touch: 3 * 2^2.
+    form = (3, 8)
+    contact = 12
+
+    @property
+    def layers(self) -> tuple[int, int]:
+        """The layer range (t1, t2)."""
+        return self.seq.t1, self.seq.t2
+
+    @property
+    def gid(self) -> int:
+        """The grid id, the sweep's tie-break."""
+        return grid_id(self.seq)
+
+    @property
+    def sign(self) -> int:
+        """The mirror orientation of the grid."""
+        return orientation(self.seq)
+
+    def offsets(self, k: int) -> tuple[Point, ...]:
+        """Neighbor offsets (di, dj, dk) available from layer k, sorted by (dk, di, dj).
+
+        Offsets leading outside the layer range are omitted, so boundary
+        layers get 9 offsets instead of 12.
+        """
+        seq = self.seq
+        offs: list[Point] = []
+        if k - 1 >= seq.t1:
+            d = seq.shift(k - 1) - seq.shift(k)
+            offs.extend((di, dj, -1) for di, dj in STEP_OFFSETS[d])
+        offs.extend((di, dj, 0) for di, dj in IN_LAYER_OFFSETS)
+        if k + 1 <= seq.t2:
+            d = seq.shift(k + 1) - seq.shift(k)
+            offs.extend((di, dj, 1) for di, dj in STEP_OFFSETS[d])
+        offs.sort(key=lambda o: (o[2], o[0], o[1]))
+        return tuple(offs)
+
+    def steps(self, k0: int, k1: int) -> tuple[int, ...]:
+        """The change of the lifted u of (0, 0, k) at each layer step from
+        k0 up to k1: the shift changes, each +1 or -1."""
+        seq = self.seq
+        if not seq.t1 <= k0 <= k1 <= seq.t2:
+            raise ValueError(f"layers {k0}..{k1} outside {seq.t1}..{seq.t2}")
+        sums = seq.prefix_sums[k0 - seq.t1 : k1 - seq.t1 + 1]
+        return tuple(map(operator.sub, sums[1:], sums))
+
+    def lift(self, p: Point) -> Point:
+        """(i, j, k) lifts to (2i + j + s, 3j + s, k), s the shift of layer k;
+        the center is (u, v/sqrt3, w*sqrt(8/3))."""
+        a, b, k = p
+        s = self.seq.shift(k)
+        return (2 * a + b + s, 3 * b + s, k)
+
 
 @dataclass(frozen=True)
 class Octahedral:
     """The (unique, parameter-free) octahedral lattice."""
 
+    # d^2 = du^2 + dv^2 + 2*dw^2, and 2^2 at contact.
+    form = (1, 2)
+    contact = 4
+    layers = (-math.inf, math.inf)
+    gid = -1
+    sign = 1
+
+    def offsets(self, k: int) -> tuple[Point, ...]:
+        """The twelve neighbor offsets, the same from every layer."""
+        return OCT_OFFSETS
+
+    def steps(self, k0: int, k1: int) -> tuple[int, ...]:
+        """The change of the lifted u of (0, 0, k) at each layer step from
+        k0 up to k1: always 1."""
+        return (1,) * (k1 - k0)
+
+    def lift(self, p: Point) -> Point:
+        """(x, y, z) lifts to (2x + z, 2y + z, z); the center is (u, v, w*sqrt2)."""
+        a, b, k = p
+        return (2 * a + k, 2 * b + k, k)
+
 
 Lattice = Hexagonal | Octahedral
 OCT = Octahedral()
-
-
-def contact_threshold(lattice: Lattice) -> int:
-    """Scaled squared distance at which two balls on this lattice touch."""
-    return HEX_CONTACT if isinstance(lattice, Hexagonal) else OCT_CONTACT
 
 
 def descriptor(lattice: Lattice) -> str:
@@ -195,25 +292,9 @@ def parse_descriptor(text: str) -> Lattice:
     return Hexagonal(EpsilonSeq(t1, t2, signs))
 
 
-def lift(lattice: Lattice, p: Point) -> Point:
-    """Integer coordinates (u, v, w) of ``p`` in which the metric is diagonal.
-
-    Hexagonal: (i, j, k) lifts to (2i + j + s, 3j + s, k), where s is layer
-    k's accumulated horizontal shift; the center is (u, v/sqrt3, w*sqrt(8/3))
-    and 3*d^2 = 3*du^2 + dv^2 + 8*dw^2.  Octahedral: (x, y, z) lifts to
-    (2x + z, 2y + z, z); the center is (u, v, w*sqrt2) and
-    d^2 = du^2 + dv^2 + 2*dw^2.
-    """
-    a, b, k = p
-    if isinstance(lattice, Hexagonal):
-        s = lattice.seq.shift(k)
-        return (2 * a + b + s, 3 * b + s, k)
-    return (2 * a + k, 2 * b + k, k)
-
-
 def to_cartesian(lattice: Lattice, p: Point) -> tuple[float, float, float]:
     """Cartesian center coordinates of the grid point ``p``, read off its lift."""
-    u, v, w = lift(lattice, p)
+    u, v, w = lattice.lift(p)
     if isinstance(lattice, Hexagonal):
         return (float(u), v / SQRT3, SQRT8_3 * w)
     return (float(u), float(v), SQRT2 * w)
@@ -222,60 +303,22 @@ def to_cartesian(lattice: Lattice, p: Point) -> tuple[float, float, float]:
 def scaled_sq_dist(lattice: Lattice, p: Point, q: Point) -> int:
     """Exact scaled squared distance between two points of one lattice.
 
-    3*d^2 on hexagonal grids and d^2 on the octahedral lattice: the diagonal
-    form of :func:`lift` applied to the difference of the lifted points, an
-    integer for every point pair.
+    3*d^2 on hexagonal grids and d^2 on the octahedral lattice: the
+    lattice's diagonal form applied to the difference of the lifted points,
+    an integer for every point pair.
     """
-    u, v, w = lift(lattice, p)
-    x, y, z = lift(lattice, q)
+    u, v, w = lattice.lift(p)
+    x, y, z = lattice.lift(q)
+    cu, cw = lattice.form
     du, dv, dw = u - x, v - y, w - z
-    if isinstance(lattice, Hexagonal):
-        return 3 * du * du + dv * dv + 8 * dw * dw
-    return du * du + dv * dv + 2 * dw * dw
+    return cu * du * du + dv * dv + cw * dw * dw
 
 
 def is_contact(lattice: Lattice, p: Point, q: Point) -> bool:
     """True when the unit balls centered at ``p`` and ``q`` touch."""
     if p == q:
         raise ValueError(f"contact undefined for a ball and itself: {p}")
-    return scaled_sq_dist(lattice, p, q) == contact_threshold(lattice)
-
-
-# Horizontal neighbor offsets within one hexagonal layer.
-IN_LAYER_OFFSETS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
-
-# Horizontal neighbor offsets across one layer step, keyed by the step's
-# shift change ds (+1 or -1).  Derived from the scaled metric: these are the
-# only integer (di, dj) whose lifted difference has 3*du^2 + dv^2 = 4.
-STEP_OFFSETS = {
-    1: ((-1, 0), (0, -1), (0, 0)),
-    -1: ((0, 0), (0, 1), (1, 0)),
-}
-
-# The twelve octahedral neighbor offsets, sorted by (dz, dx, dy).
-OCT_OFFSETS = (
-    (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1),
-    (-1, 0, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0),
-    (-1, -1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1),
-)
-
-
-def hex_layer_offsets(seq: EpsilonSeq, k: int) -> tuple[Point, ...]:
-    """Neighbor offsets (di, dj, dk) available from layer k, sorted by (dk, di, dj).
-
-    Offsets leading outside the layer range are omitted, so boundary layers
-    get 9 offsets instead of 12.
-    """
-    offs: list[Point] = []
-    if k - 1 >= seq.t1:
-        d = seq.shift(k - 1) - seq.shift(k)
-        offs.extend((di, dj, -1) for di, dj in STEP_OFFSETS[d])
-    offs.extend((di, dj, 0) for di, dj in IN_LAYER_OFFSETS)
-    if k + 1 <= seq.t2:
-        d = seq.shift(k + 1) - seq.shift(k)
-        offs.extend((di, dj, 1) for di, dj in STEP_OFFSETS[d])
-    offs.sort(key=lambda o: (o[2], o[0], o[1]))
-    return tuple(offs)
+    return scaled_sq_dist(lattice, p, q) == lattice.contact
 
 
 def neighbors(lattice: Lattice, p: Point) -> list[Point]:
@@ -285,11 +328,7 @@ def neighbors(lattice: Lattice, p: Point) -> list[Point]:
     bottom layer lose the 3 neighbors of the missing adjacent layer.
     """
     a, b, k = p
-    if isinstance(lattice, Hexagonal):
-        offs = hex_layer_offsets(lattice.seq, k)
-    else:
-        offs = OCT_OFFSETS
-    return [(a + da, b + db, k + dk) for da, db, dk in offs]
+    return [(a + da, b + db, k + dk) for da, db, dk in lattice.offsets(k)]
 
 
 def orientation(seq: EpsilonSeq) -> int:

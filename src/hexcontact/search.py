@@ -37,25 +37,13 @@ maximizer.
 from __future__ import annotations
 
 import csv
-import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .contact import Configuration
-from .lattice import (
-    OCT_OFFSETS,
-    Hexagonal,
-    Lattice,
-    Octahedral,
-    Point,
-    descriptor,
-    grid_id,
-    hex_layer_offsets,
-    orientation,
-    parse_descriptor,
-)
+from .lattice import Lattice, Point, descriptor, parse_descriptor
 
 
 class FrontierExhaustedError(RuntimeError):
@@ -97,19 +85,13 @@ class GreedyParams:
             raise ValueError("n_max must be at least 1")
         if self.horizontal_bound < 0:
             raise ValueError("horizontal_bound must be 0 (unbounded) or positive")
-        if isinstance(self.lattice, Hexagonal):
-            seq = self.lattice.seq
-            if not seq.t1 <= self.start[2] <= seq.t2:
-                raise ValueError(f"start layer {self.start[2]} outside {seq.t1}..{seq.t2}")
+        t1, t2 = self.lattice.layers
+        if not t1 <= self.start[2] <= t2:
+            raise ValueError(f"start layer {self.start[2]} outside {t1}..{t2}")
         if self.horizontal_bound and (
             abs(self.start[0]) > self.horizontal_bound or abs(self.start[1]) > self.horizontal_bound
         ):
             raise ValueError("start violates horizontal bound")
-
-
-def _lattice_id(lattice: Lattice) -> int:
-    """Sweep tie-break id: the grid id for hexagonal grids, -1 for octahedral."""
-    return grid_id(lattice.seq) if isinstance(lattice, Hexagonal) else -1
 
 
 class _Grid:
@@ -121,17 +103,16 @@ class _Grid:
     def __init__(self, index: int, lattice: Lattice):
         self.index = index
         self.lattice = lattice
-        self.gid = _lattice_id(lattice)
-        self.sign = orientation(lattice.seq) if isinstance(lattice, Hexagonal) else 1
+        self.gid = lattice.gid
+        self.sign = lattice.sign
         self._offsets: dict[int, tuple[Point, ...]] = {}
 
     def offsets(self, k: int) -> tuple[Point, ...]:
         """Offsets (dk, s*di, s*dj) from layer k, computed on first use."""
         offs = self._offsets.get(k)
         if offs is None:
-            lattice, s = self.lattice, self.sign
-            raw = hex_layer_offsets(lattice.seq, k) if isinstance(lattice, Hexagonal) else OCT_OFFSETS
-            offs = self._offsets[k] = tuple((dk, s * di, s * dj) for di, dj, dk in raw)
+            s = self.sign
+            offs = self._offsets[k] = tuple((dk, s * di, s * dj) for di, dj, dk in self.lattice.offsets(k))
         return offs
 
 
@@ -437,9 +418,6 @@ class Window:
             for j in range(self.j_range[0], self.j_range[1] + 1)
         ]
 
-    def subset_count(self, n: int) -> int:
-        return math.comb(self.point_count, n)
-
 
 # progress callback arguments: nodes explored, incumbent best, branches pruned
 ProgressFn = Callable[[int, int, int], None]
@@ -474,12 +452,9 @@ def exhaustive(
     must beat or match, and the branches pruned, every ``progress_interval``
     nodes; the counts cover the suffix searches too.
     """
-    if isinstance(lattice, Hexagonal):
-        seq = lattice.seq
-        if window.k_range[0] < seq.t1 or window.k_range[1] > seq.t2:
-            raise ValueError(
-                f"window layers {window.k_range} outside grid layers {seq.t1}..{seq.t2}"
-            )
+    t1, t2 = lattice.layers
+    if window.k_range[0] < t1 or window.k_range[1] > t2:
+        raise ValueError(f"window layers {window.k_range} outside grid layers {t1}..{t2}")
     pts = window.points()
     count = len(pts)
     if not 0 <= n <= count:
@@ -578,7 +553,7 @@ def _window_neighbors(lattice: Lattice, window: Window) -> list[list[int]]:
     ni, nj = i1 - i0 + 1, j1 - j0 + 1
     near = []
     for k in range(k0, k1 + 1):
-        offs = hex_layer_offsets(lattice.seq, k) if isinstance(lattice, Hexagonal) else OCT_OFFSETS
+        offs = lattice.offsets(k)
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
                 near.append([
@@ -589,25 +564,18 @@ def _window_neighbors(lattice: Lattice, window: Window) -> list[list[int]]:
     return near
 
 
-def _window_signature(lattice: Lattice, window: Window) -> object:
-    """What a window actually sees of a grid: the layer-step shift changes.
-
-    Two grids whose shift changes agree across the window's layers produce
-    congruent point sets there, so only one needs searching.
-    """
-    if isinstance(lattice, Octahedral):
-        return "oct"
-    seq = lattice.seq
-    a, b = window.k_range
-    return tuple(seq.shift(k + 1) - seq.shift(k) for k in range(a, b))
-
-
 def unique_window_grids(grids: Sequence[Lattice], window: Window) -> list[Lattice]:
-    """First representative of each distinct window restriction, in input order."""
+    """First representative of each distinct window restriction, in input order.
+
+    A window sees of a grid only its metric ``form`` and the ``steps``
+    between its layers; grids that agree on both produce congruent point
+    sets in the window, so only one needs searching.
+    """
+    k0, k1 = window.k_range
     seen = set()
     out = []
     for g in grids:
-        sig = _window_signature(g, window)
+        sig = (g.form, g.steps(k0, k1))
         if sig not in seen:
             seen.add(sig)
             out.append(g)
@@ -623,7 +591,7 @@ def exhaustive_column(
     if not grids:
         raise ValueError("grids must be nonempty")
     columns = [
-        (_lattice_id(lattice), exhaustive(lattice, window, n, progress=progress)[2])
+        (lattice.gid, exhaustive(lattice, window, n, progress=progress)[2])
         for lattice in unique_window_grids(grids, window)
     ]
     records = []
@@ -632,11 +600,6 @@ def exhaustive_column(
         value, config = column[r]
         records.append(SweepRecord(r, value, gid, config, "exhaustive", 0))
     return records
-
-
-def exhaustive_sweep(window: Window, n: int, grids: Sequence[Lattice]) -> SweepRecord:
-    """Exact optimum of size n over the distinct window restrictions of ``grids``."""
-    return exhaustive_column(window, n, grids)[n]
 
 
 SWEEP_CSV_COLUMNS = ("n", "best_contacts", "grid", "algorithm", "restarts", "runtime_ms")
@@ -673,6 +636,6 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
             if n in seen:
                 raise ValueError(f"{path}: line {lineno}: repeated n = {n}")
             seen.add(n)
-            gid = _lattice_id(parse_descriptor(row["grid"])) if row["grid"] else -1
+            gid = parse_descriptor(row["grid"]).gid if row["grid"] else -1
             records.append(SweepRecord(n, contacts, gid, None, row["algorithm"], restarts))
     return records

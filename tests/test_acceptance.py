@@ -6,10 +6,12 @@ module took 4 to 7 s on one core of a 2-core x86-64 virtual machine.
 """
 
 import itertools
+import math
 import random
 import time
 
 import pytest
+from reference import incremental_delta, reflect_configuration
 
 from hexcontact.bounds import (
     KNOWN_CONTACTS,
@@ -19,19 +21,11 @@ from hexcontact.bounds import (
     compare_tables,
     delta_vs_reference,
     octahedral_bound,
-    trivial_upper,
 )
-from hexcontact.contact import (
-    Configuration,
-    contact_count,
-    incremental_delta,
-    prefix,
-    reflect_configuration,
-)
+from hexcontact.contact import Configuration, verify
 from hexcontact.lattice import (
     OCT,
     Hexagonal,
-    contact_threshold,
     enumerate_grids,
     is_contact,
     neighbors,
@@ -45,7 +39,7 @@ from hexcontact.search import (
     SeededRandom,
     Window,
     exhaustive,
-    exhaustive_sweep,
+    exhaustive_column,
     greedy,
     greedy_sweep,
 )
@@ -119,18 +113,18 @@ def test_criterion_2_exact_metric():
 def test_criterion_3_small_n_exact_values():
     window = Window((-1, 1), (-1, 1), (-1, 1))
     t0 = time.monotonic()
-    got = [exhaustive_sweep(window, n, NINE_LAYER_GRIDS).best_contacts for n in (2, 3, 4, 5)]
+    got = [exhaustive_column(window, n, NINE_LAYER_GRIDS)[n].best_contacts for n in (2, 3, 4, 5)]
     small_elapsed = time.monotonic() - t0
     assert got == [1, 3, 6, 9]
     assert small_elapsed < 1.0
 
     wide = Window((-2, 2), (-2, 2), (0, 1))
-    assert wide.subset_count(6) == 15_890_700
+    assert math.comb(wide.point_count, 6) == 15_890_700
     t0 = time.monotonic()
-    rec = exhaustive_sweep(wide, 6, NINE_LAYER_GRIDS)
+    rec = exhaustive_column(wide, 6, NINE_LAYER_GRIDS)[6]
     wide_elapsed = time.monotonic() - t0
     assert rec.best_contacts == 12
-    assert contact_count(rec.configuration) == 12
+    assert verify(rec.configuration).contacts == 12
     assert wide_elapsed < 120.0
     report(
         3,
@@ -146,7 +140,7 @@ def test_criterion_4_greedy_spot_checks(hex_sweep_50):
     tolerance = {5: 0, 6: 0, 13: 0, 20: 1, 50: 1}
     for n, target in targets.items():
         assert best[n] >= target - tolerance[n], f"n={n}: {best[n]} < {target - tolerance[n]}"
-        assert best[n] <= trivial_upper(n)
+        assert best[n] <= 6 * n
         known = KNOWN_CONTACTS.get(n)
         if known is not None and known.status is Status.EXACT:
             # a grid packing can never beat the true optimum
@@ -238,8 +232,8 @@ def test_criterion_7_property_suite():
         cfg = grow_random_config(rng, lattice, rng.randint(1, 40))
         total = 0
         for m in range(len(cfg)):
-            total += incremental_delta(prefix(cfg, m), cfg.balls[m])
-        assert total == contact_count(cfg)
+            total += incremental_delta(Configuration(lattice, cfg.balls[:m]), cfg.balls[m])
+        assert total == verify(cfg).contacts
 
     # greedy prefix property
     for tie_rule in (LEX, SeededRandom(41)):
@@ -252,7 +246,7 @@ def test_criterion_7_property_suite():
     for _ in range(50):
         lattice = Hexagonal(seq_from_grid_id(-4, 4, rng.randrange(256)))
         cfg = grow_random_config(rng, lattice, 25)
-        assert contact_count(reflect_configuration(cfg)) == contact_count(cfg)
+        assert verify(reflect_configuration(cfg)).contacts == verify(cfg).contacts
 
     # normalization soundness: sweeping all 256 grids matches the 128
     # normalized ones exactly for every n <= 30
@@ -267,7 +261,7 @@ def test_criterion_7_property_suite():
     for gid in (0, 1, 2, 3):
         lattice = Hexagonal(seq_from_grid_id(-1, 1, gid))
         pts = window.points()
-        threshold = contact_threshold(lattice)
+        threshold = lattice.contact
         adj = [0] * len(pts)
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
@@ -297,7 +291,7 @@ def test_criterion_8_desk_scale_table():
     elapsed = time.monotonic() - t0
     values = {r.n: r.best_contacts for r in records}
     for n, value in values.items():
-        assert value <= trivial_upper(n), f"n={n}: {value} above 6n"
+        assert value <= 6 * n, f"n={n}: {value} above 6n"
     deltas = delta_vs_reference(values)
     assert len(deltas) == 200
     worst60 = min(d for n, *_, d in deltas if n <= 60)

@@ -8,14 +8,12 @@ from hexcontact.bounds import (
     Status,
     compare_tables,
     delta_vs_reference,
-    known_c,
     literature_best,
     literature_wins,
     oct_wins,
     octahedral_bound,
     render_comparison,
     render_decade_table,
-    trivial_upper,
 )
 from hexcontact.contact import Configuration, verify
 from hexcontact.lattice import parse_descriptor
@@ -68,21 +66,18 @@ def rec(n, contacts):
 
 class TestKnownValues:
     def test_spot_values(self):
-        assert known_c(10).value == 25 and known_c(10).status is Status.EXACT
-        assert known_c(27).value == 90 and known_c(27).status is Status.LOWER_BOUND
-        assert known_c(28) is None
+        ten, last = KNOWN_CONTACTS.get(10), KNOWN_CONTACTS.get(27)
+        assert ten.value == 25 and ten.status is Status.EXACT
+        assert last.value == 90 and last.status is Status.LOWER_BOUND
+        assert KNOWN_CONTACTS.get(28) is None
 
     def test_status_split(self):
         for n, kv in KNOWN_CONTACTS.items():
             assert kv.status is (Status.EXACT if n <= 19 else Status.LOWER_BOUND)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            known_c(0)
-
     def test_sanity_chain_against_trivial_upper(self):
         for n, kv in KNOWN_CONTACTS.items():
-            assert kv.value <= trivial_upper(n)
+            assert kv.value <= 6 * n
 
 
 class TestOctahedralBound:
@@ -124,17 +119,12 @@ class TestReferenceTables:
     def test_reference_is_monotone_and_capped(self):
         values = [REFERENCE_GREEDY_HEX[n] for n in range(1, 201)]
         assert values == sorted(values)
-        assert all(REFERENCE_GREEDY_HEX[n] <= trivial_upper(n) for n in REFERENCE_GREEDY_HEX)
+        assert all(REFERENCE_GREEDY_HEX[n] <= 6 * n for n in REFERENCE_GREEDY_HEX)
 
     def test_oct_better_rows_match_the_hex_reference(self):
         for n, (hex_value, oct_value) in REFERENCE_OCT_BETTER.items():
             assert REFERENCE_GREEDY_HEX[n] == hex_value
             assert oct_value > hex_value
-
-    def test_trivial_upper_spots(self):
-        assert trivial_upper(1) == 6
-        assert trivial_upper(6) == 36 >= 12
-        assert trivial_upper(200) == 1200 >= 935
 
 
 class TestLiteratureBest:
@@ -200,6 +190,14 @@ class TestCompareTables:
     def test_cap_violation_raises_instead_of_clipping(self):
         with pytest.raises(ValueError, match="6n"):
             compare_tables([rec(2, 13)], [rec(2, 1)])
+
+    @pytest.mark.parametrize("n", [1, 6, 200])
+    def test_cap_is_six_n(self, n):
+        assert compare_tables([rec(n, 6 * n)], [rec(n, 6 * n)])[0].winner == "tie"
+        with pytest.raises(ValueError, match="hexagonal sweep reports"):
+            compare_tables([rec(n, 6 * n + 1)], [rec(n, 0)])
+        with pytest.raises(ValueError, match="octahedral sweep reports"):
+            compare_tables([rec(n, 0)], [rec(n, 6 * n + 1)])
 
 
 def test_delta_vs_reference():

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import incremental_delta, reflect_configuration
 
 from hexcontact import cli
 from hexcontact.contact import (
@@ -14,11 +15,7 @@ from hexcontact.contact import (
     ContactReport,
     DuplicateBallError,
     LayerOutOfRangeError,
-    contact_count,
-    incremental_delta,
-    prefix,
     read_jsonl,
-    reflect_configuration,
     verify,
     write_jsonl,
     write_jsonl_files,
@@ -27,10 +24,9 @@ from hexcontact.lattice import (
     OCT,
     EpsilonSeq,
     Hexagonal,
-    contact_threshold,
+    Octahedral,
     descriptor,
     enumerate_grids,
-    lift,
     neighbors,
     parse_descriptor,
     scaled_sq_dist,
@@ -86,7 +82,7 @@ def grown_configs(draw):
 def pairwise_report(cfg):
     """Contacts, degrees and minimum scaled distance, one scaled_sq_dist
     call per pair."""
-    threshold = contact_threshold(cfg.lattice)
+    threshold = cfg.lattice.contact
     degrees = [0] * len(cfg.balls)
     dists = []
     for (i, p), (j, q) in itertools.combinations(enumerate(cfg.balls), 2):
@@ -101,9 +97,9 @@ def all_pairs_report(cfg):
     """Contacts, degrees and minimum scaled distance from one loop over all
     pairs of lifted balls: the reference for verify's offset lookup on
     configurations too large for pairwise_report."""
-    threshold = contact_threshold(cfg.lattice)
+    threshold = cfg.lattice.contact
     cu, cw = (3, 8) if isinstance(cfg.lattice, Hexagonal) else (1, 2)
-    lifted = [lift(cfg.lattice, b) for b in cfg.balls]
+    lifted = [cfg.lattice.lift(b) for b in cfg.balls]
     degrees = [0] * len(lifted)
     low = None
     for (i, (u, v, w)), (j, (x, y, z)) in itertools.combinations(enumerate(lifted), 2):
@@ -166,18 +162,18 @@ def test_verify_matches_all_pairs_on_sweeps(swept_configs, kind):
 
 class TestContactCount:
     def test_single_ball(self):
-        assert contact_count(Configuration(UP_GRID, ((0, 0, 0),))) == 0
+        assert verify(Configuration(UP_GRID, ((0, 0, 0),))).contacts == 0
 
     def test_adjacent_pair(self):
-        assert contact_count(Configuration(UP_GRID, ((0, 0, 0), (1, 0, 0)))) == 1
+        assert verify(Configuration(UP_GRID, ((0, 0, 0), (1, 0, 0)))).contacts == 1
 
     def test_tetrahedron_is_complete(self):
-        assert contact_count(Configuration(UP_GRID, TETRA)) == 6
+        assert verify(Configuration(UP_GRID, TETRA)).contacts == 6
 
     def test_duplicate_rejected(self):
         cfg = Configuration(UP_GRID, ((0, 0, 0), (1, 0, 0), (0, 0, 0)))
         with pytest.raises(DuplicateBallError) as err:
-            contact_count(cfg)
+            verify(cfg)
         assert err.value.indices == (0, 2)
 
     def test_thirteen_ball_cluster_in_every_grid(self):
@@ -186,9 +182,9 @@ class TestContactCount:
         for seq in enumerate_grids(-2, 2, normalize=False):
             lat = Hexagonal(seq)
             balls = ((0, 0, 0), *neighbors(lat, (0, 0, 0)))
-            assert contact_count(Configuration(lat, balls)) == 36
+            assert verify(Configuration(lat, balls)).contacts == 36
         balls = ((0, 0, 0), *neighbors(OCT, (0, 0, 0)))
-        assert contact_count(Configuration(OCT, balls)) == 36
+        assert verify(Configuration(OCT, balls)).contacts == 36
 
 
 class TestVerify:
@@ -264,21 +260,34 @@ class TestVerify:
             assert report.contacts <= 6 * report.n
 
 
+class IdentityHex(Hexagonal):
+    """UP_GRID's metric and layers, with the identity for ``lift``."""
+
+    def lift(self, p):
+        return p
+
+
+class IdentityOct(Octahedral):
+    """The octahedral metric, with the identity for ``lift``."""
+
+    def lift(self, p):
+        return p
+
+
+ID_HEX, ID_OCT = IdentityHex(UP_GRID.seq), IdentityOct()
+
+
 class TestFloorCheck:
-    """With ``lift`` replaced by the identity, ball coordinates are lifted
-    coordinates, so a pair can sit at any difference, closer than any
+    """On lattices whose ``lift`` is the identity, ball coordinates are
+    lifted coordinates, so a pair can sit at any difference, closer than any
     lattice allows."""
 
-    @pytest.fixture(autouse=True)
-    def identity_lift(self, monkeypatch):
-        monkeypatch.setattr("hexcontact.contact.lift", lambda lattice, p: p)
-
-    @pytest.mark.parametrize("lattice", [UP_GRID, OCT], ids=["hex", "oct"])
+    @pytest.mark.parametrize("lattice", [ID_HEX, ID_OCT], ids=["hex", "oct"])
     def test_every_small_difference(self, lattice):
         # Each difference alone, then beside a far touching pair, whose hit
         # keeps the all-pairs fallback from covering a missed difference.
-        threshold = contact_threshold(lattice)
-        cu, cw = (3, 8) if lattice == UP_GRID else (1, 2)
+        threshold = 12 if lattice == ID_HEX else 4
+        cu, cw = (3, 8) if lattice == ID_HEX else (1, 2)
         far_pair = ((100, 0, 0), (102, 0, 0))  # lifted difference (2, 0, 0) touches on both forms
         r = range(-4, 5)
         for du, dv, dw in itertools.product(r, r, r):
@@ -299,39 +308,20 @@ class TestFloorCheck:
     def test_squeezed_tetrahedron(self):
         # lifted (0, 0, 0) and (0, 1, 0) differ by 1 under 3du^2 + dv^2 + 8dw^2
         with pytest.raises(RuntimeError, match="distance 1 below contact threshold 12;"):
-            verify(Configuration(UP_GRID, TETRA))
+            verify(Configuration(ID_HEX, TETRA))
 
     def test_input_errors_come_first(self):
         with pytest.raises(DuplicateBallError):
-            verify(Configuration(UP_GRID, (*TETRA, TETRA[0])))
+            verify(Configuration(ID_HEX, (*TETRA, TETRA[0])))
         with pytest.raises(LayerOutOfRangeError):
-            verify(Configuration(UP_GRID, (*TETRA, (0, 0, 5))))
+            verify(Configuration(ID_HEX, (*TETRA, (0, 0, 5))))
 
 
 class TestPrefix:
-    def test_identity(self):
-        cfg = Configuration(UP_GRID, TETRA, "tag")
-        assert prefix(cfg, 4) == cfg
-
-    def test_empty_prefix(self):
-        cfg = Configuration(UP_GRID, TETRA)
-        assert len(prefix(cfg, 0)) == 0
-
-    def test_keeps_order_and_provenance(self):
-        cfg = Configuration(UP_GRID, TETRA, "tag")
-        cut = prefix(cfg, 2)
-        assert cut.balls == TETRA[:2]
-        assert cut.provenance == "tag"
-
-    def test_out_of_range(self):
-        cfg = Configuration(UP_GRID, TETRA)
-        with pytest.raises(ValueError):
-            prefix(cfg, 5)
-
     def test_contact_count_monotone_in_prefix_length(self):
         rng = random.Random(3)
         cfg = random_grown_config(rng, OCT, 25)
-        counts = [contact_count(prefix(cfg, n)) for n in range(len(cfg) + 1)]
+        counts = [verify(Configuration(OCT, cfg.balls[:n])).contacts for n in range(len(cfg) + 1)]
         assert counts == sorted(counts)
 
 
@@ -363,8 +353,8 @@ class TestIncrementalDelta:
             cfg = random_grown_config(rng, lattice, rng.randint(2, 40))
             total = 0
             for n in range(len(cfg)):
-                total += incremental_delta(prefix(cfg, n), cfg.balls[n])
-            assert total == contact_count(cfg)
+                total += incremental_delta(Configuration(lattice, cfg.balls[:n]), cfg.balls[n])
+            assert total == verify(cfg).contacts
 
 
 def test_reflection_preserves_contact_count():
@@ -372,7 +362,7 @@ def test_reflection_preserves_contact_count():
     for _ in range(25):
         lattice = Hexagonal(seq_from_grid_id(-3, 3, rng.randrange(64)))
         cfg = random_grown_config(rng, lattice, 20)
-        assert contact_count(reflect_configuration(cfg)) == contact_count(cfg)
+        assert verify(reflect_configuration(cfg)).contacts == verify(cfg).contacts
 
 
 class TestJsonl:
@@ -524,7 +514,8 @@ class TestJsonlFormatter:
     )
     def test_edge_cases_match_reference(self, config, tmp_path):
         assert written(config) == reference_jsonl(config)
-        same_group = [config, prefix(config, len(config) // 2), reversed_balls(config)]
+        half = Configuration(config.lattice, config.balls[: len(config) // 2], config.provenance)
+        same_group = [config, half, reversed_balls(config)]
         assert_files_match_reference(same_group, tmp_path)
 
     @given(st.data())

@@ -20,9 +20,7 @@ from hexcontact.lattice import (
     descriptor,
     enumerate_grids,
     grid_id,
-    hex_layer_offsets,
     is_contact,
-    lift,
     neighbors,
     orientation,
     parse_descriptor,
@@ -193,9 +191,21 @@ class TestCartesian:
 class TestLift:
     def test_hand_evaluated(self):
         lat = Hexagonal(EpsilonSeq(-1, 1, (-1, 1)))
-        assert lift(lat, (1, 1, 1)) == (2 + 1 + 1, 3 + 1, 1)
-        assert lift(lat, (1, 1, -1)) == (2 + 1 - 1, 3 - 1, -1)
-        assert lift(OCT, (1, 2, 3)) == (2 + 3, 4 + 3, 3)
+        assert lat.lift((1, 1, 1)) == (2 + 1 + 1, 3 + 1, 1)
+        assert lat.lift((1, 1, -1)) == (2 + 1 - 1, 3 - 1, -1)
+        assert OCT.lift((1, 2, 3)) == (2 + 3, 4 + 3, 3)
+
+    @given(seqs(4), st.data())
+    def test_steps_follow_the_lifted_origins(self, seq, data):
+        k0 = data.draw(st.integers(seq.t1, seq.t2))
+        k1 = data.draw(st.integers(k0, seq.t2))
+        for lat in (Hexagonal(seq), OCT):
+            us = [lat.lift((0, 0, k))[0] for k in range(k0, k1 + 1)]
+            assert lat.steps(k0, k1) == tuple(b - a for a, b in zip(us, us[1:]))
+
+    def test_steps_outside_the_layers_rejected(self):
+        with pytest.raises(ValueError, match="outside -1..1"):
+            Hexagonal(EpsilonSeq(-1, 1, (1, 1))).steps(-2, 1)
 
 
 class TestScaledSqDist:
@@ -257,16 +267,13 @@ class TestIsContact:
 
 def brute_neighbors(lattice, p):
     """Independent oracle: scan a box for points at contact distance."""
-    if isinstance(lattice, Hexagonal):
-        t1, t2 = lattice.seq.t1, lattice.seq.t2
-    else:
-        t1, t2 = p[2] - 2, p[2] + 2
+    t1, t2 = lattice.layers
     hits = []
     for di, dj, dk in itertools.product(range(-3, 4), range(-3, 4), range(-2, 3)):
         q = (p[0] + di, p[1] + dj, p[2] + dk)
         if q == p or not t1 <= q[2] <= t2:
             continue
-        if scaled_sq_dist(lattice, p, q) == (12 if isinstance(lattice, Hexagonal) else 4):
+        if scaled_sq_dist(lattice, p, q) == lattice.contact:
             hits.append(q)
     return sorted(hits)
 
@@ -286,6 +293,17 @@ class TestNeighbors:
         assert len(neighbors(lat, (0, 0, 4))) == 9
         assert len(neighbors(lat, (0, 0, -4))) == 9
 
+    @pytest.mark.parametrize("t1, t2", [(-1, 1), (-4, 4), (-2, 3), (0, 2), (-3, 0), (0, 0)])
+    def test_boundary_layers_match_brute_force(self, t1, t2):
+        for seq in enumerate_grids(t1, t2, normalize=False)[:8]:
+            lat = Hexagonal(seq)
+            for k in {t1, t2}:
+                for p in [(0, 0, k), (3, -2, k), (-5, 1, k)]:
+                    nb = neighbors(lat, p)
+                    want = 12 - 3 * (k == t1) - 3 * (k == t2)
+                    assert len(nb) == want
+                    assert sorted(nb) == brute_neighbors(lat, p)
+
     def test_octahedral_offsets_match_brute_force(self):
         nb = neighbors(OCT, (3, -1, 2))
         assert len(nb) == 12
@@ -298,9 +316,9 @@ class TestNeighbors:
         assert deltas == sorted(deltas)
 
     def test_layer_offsets_clip_silently(self):
-        seq = EpsilonSeq(0, 1, (1,))
-        assert len(hex_layer_offsets(seq, 0)) == 9
-        assert len(hex_layer_offsets(seq, 1)) == 9
+        lat = Hexagonal(EpsilonSeq(0, 1, (1,)))
+        assert len(lat.offsets(0)) == 9
+        assert len(lat.offsets(1)) == 9
 
 
 class TestReflection:

@@ -1,14 +1,15 @@
 import itertools
+import math
 
 import pytest
+from reference import incremental_delta
 
 from hexcontact.bounds import KNOWN_CONTACTS, VERIFIED_CONTACTS, Status
-from hexcontact.contact import Configuration, contact_count, incremental_delta, prefix, verify
+from hexcontact.contact import Configuration, verify
 from hexcontact.lattice import (
     OCT,
     EpsilonSeq,
     Hexagonal,
-    contact_threshold,
     descriptor,
     enumerate_grids,
     grid_id,
@@ -24,7 +25,6 @@ from hexcontact.search import (
     Window,
     exhaustive,
     exhaustive_column,
-    exhaustive_sweep,
     greedy,
     greedy_sweep,
     read_sweep_csv,
@@ -40,7 +40,7 @@ class TestGreedy:
     def test_single_ball(self):
         cfg = greedy(GreedyParams(UP_GRID, 1))
         assert cfg.balls == ((0, 0, 0),)
-        assert contact_count(cfg) == 0
+        assert verify(cfg).contacts == 0
 
     def test_deterministic(self):
         params = GreedyParams(UP_GRID, 30, SeededRandom(5))
@@ -68,7 +68,7 @@ class TestGreedy:
 
     def test_contacts_match_oracle(self):
         cfg = greedy(GreedyParams(OCT, 50, SeededRandom(9)))
-        added = sum(incremental_delta(prefix(cfg, m), cfg.balls[m]) for m in range(len(cfg)))
+        added = sum(incremental_delta(Configuration(OCT, cfg.balls[:m]), cfg.balls[m]) for m in range(len(cfg)))
         assert verify(cfg).contacts == added
 
     def test_frontier_exhaustion_with_tight_bounds(self):
@@ -98,7 +98,7 @@ class TestGreedySweep:
         records = greedy_sweep(12, NINE_LAYERS[:6], restarts=2)
         for n, rec in enumerate(records, start=1):
             assert rec.n == n
-            assert rec.best_contacts == contact_count(rec.configuration)
+            assert rec.best_contacts == verify(rec.configuration).contacts
             assert rec.best_contacts <= 6 * n
             assert len(rec.configuration) == n
 
@@ -143,7 +143,7 @@ def brute_force(lattice, window, n):
     adjacency of its own.  Returns the maximum and the maximizing subsets in
     lexicographic order of their point indices."""
     pts = window.points()
-    threshold = contact_threshold(lattice)
+    threshold = lattice.contact
     adj = [0] * len(pts)
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
@@ -246,19 +246,19 @@ class TestExhaustive:
     def test_four_balls_reach_six(self):
         value, configs, _ = exhaustive(UP_GRID, WINDOW_333, 4)
         assert value == 6
-        assert contact_count(configs[0]) == 6
+        assert verify(configs[0]).contacts == 6
 
     def test_whole_window_is_a_single_subset(self):
         value, configs, _ = exhaustive(UP_GRID, WINDOW_333, 27)
         everything = Configuration(UP_GRID, tuple(WINDOW_333.points()))
-        assert value == contact_count(everything)
+        assert value == verify(everything).contacts
         assert len(configs[0]) == 27
 
     def test_all_optima_mode(self):
         value, configs, _ = exhaustive(UP_GRID, WINDOW_333, 4, all_max=True)
         assert value == 6
         assert len(configs) > 1
-        assert all(contact_count(c) == 6 for c in configs)
+        assert all(verify(c).contacts == 6 for c in configs)
         assert len({c.balls for c in configs}) == len(configs)
 
     def test_n_larger_than_window(self):
@@ -315,7 +315,7 @@ class TestExhaustive:
         lattice = Hexagonal(EpsilonSeq(-1, 1, (1, 1)))
         cfg = greedy(GreedyParams(lattice, 5, horizontal_bound=1))
         value, _, _ = exhaustive(lattice, WINDOW_333, 5)
-        assert value >= contact_count(cfg)
+        assert value >= verify(cfg).contacts
 
 
 def outcome(result):
@@ -373,7 +373,7 @@ class TestWindow:
             Window((1, 0), (0, 0), (0, 0))
 
     def test_subset_count(self):
-        assert Window((-2, 2), (-2, 2), (0, 1)).subset_count(6) == 15890700
+        assert math.comb(Window((-2, 2), (-2, 2), (0, 1)).point_count, 6) == 15890700
 
 
 @pytest.fixture(scope="module")
@@ -394,16 +394,16 @@ class TestExhaustiveSweep:
         assert unique_window_grids([OCT, OCT], WINDOW_333) == [OCT]
 
     def test_two_adjacent_points(self):
-        rec = exhaustive_sweep(Window((0, 1), (0, 0), (0, 0)), 2, NINE_LAYERS)
+        rec = exhaustive_column(Window((0, 1), (0, 0), (0, 0)), 2, NINE_LAYERS)[2]
         assert rec.best_contacts == 1
 
     def test_five_balls_reach_nine(self):
-        rec = exhaustive_sweep(WINDOW_333, 5, NINE_LAYERS)
+        rec = exhaustive_column(WINDOW_333, 5, NINE_LAYERS)[5]
         assert rec.best_contacts == 9
         assert verify(rec.configuration).contacts == 9
 
     def test_zero_balls_keep_their_grid_in_csv(self, tmp_path):
-        rec = exhaustive_sweep(WINDOW_333, 0, NINE_LAYERS)
+        rec = exhaustive_column(WINDOW_333, 0, NINE_LAYERS)[0]
         path = str(tmp_path / "sweep.csv")
         write_sweep_csv(path, [rec], 0)
         (back,) = read_sweep_csv(path)
@@ -412,7 +412,7 @@ class TestExhaustiveSweep:
     @pytest.mark.parametrize("n", [0, 1, 4, 13, 21, 27])
     def test_column_equals_single_sizes(self, column_333, n):
         grids = [Hexagonal(s) for s in enumerate_grids(-1, 1)]
-        single, rec = exhaustive_sweep(WINDOW_333, n, grids), column_333[n]
+        single, rec = exhaustive_column(WINDOW_333, n, grids)[n], column_333[n]
         assert rec.n == single.n == n
         assert (rec.best_contacts, rec.best_grid_id) == (single.best_contacts, single.best_grid_id)
         assert rec.configuration == single.configuration
@@ -433,5 +433,5 @@ class TestExhaustiveSweep:
         assert report.contacts == 68 and report.min_scaled_dist == 12
 
     def test_algorithm_tag(self):
-        rec = exhaustive_sweep(WINDOW_333, 2, NINE_LAYERS)
+        rec = exhaustive_column(WINDOW_333, 2, NINE_LAYERS)[2]
         assert rec.algorithm == "exhaustive"

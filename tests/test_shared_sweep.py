@@ -6,22 +6,14 @@ reduction over every run.  The shared sweep must give every grid the same
 balls and contact curve, and ``greedy_sweep`` the same records.
 """
 
+import functools
 import random
 
 import pytest
 
 from hexcontact import search
 from hexcontact.contact import Configuration
-from hexcontact.lattice import (
-    OCT,
-    OCT_OFFSETS,
-    Hexagonal,
-    Octahedral,
-    descriptor,
-    enumerate_grids,
-    hex_layer_offsets,
-    orientation,
-)
+from hexcontact.lattice import OCT, Hexagonal, descriptor, enumerate_grids
 from hexcontact.search import (
     FrontierExhaustedError,
     GreedyParams,
@@ -35,12 +27,7 @@ from hexcontact.search import (
 def reference_run(lattice, n_max, rng, start=(0, 0, 0), bound=0):
     """One greedy run: the placed balls and ``curve[m]``, the contacts of the
     first m balls."""
-    if isinstance(lattice, Octahedral):
-        offsets, t_low, sign = [OCT_OFFSETS], 0, 1
-    else:
-        seq = lattice.seq
-        offsets = [hex_layer_offsets(seq, k) for k in seq.layers]
-        t_low, sign = seq.t1, orientation(seq)
+    offsets, sign = functools.cache(lattice.offsets), lattice.sign
 
     def tie_key(p):
         return (p[2], sign * p[0], sign * p[1])
@@ -53,8 +40,7 @@ def reference_run(lattice, n_max, rng, start=(0, 0, 0), bound=0):
 
     def absorb(p):
         i, j, k = p
-        offs = offsets[0] if isinstance(lattice, Octahedral) else offsets[k - t_low]
-        for di, dj, dk in offs:
+        for di, dj, dk in offsets(k):
             q = (i + di, j + dj, k + dk)
             if q in chosen_set:
                 continue
@@ -93,7 +79,7 @@ def reference_sweep(n_max, grids, restarts=0, base_seed=0, bound=0):
     then grid id, then restart, then input order."""
     best = [None] * (n_max + 1)
     for lattice in grids:
-        gid = search._lattice_id(lattice)
+        gid = lattice.gid
         for r in range(restarts + 1):
             balls, curve = reference_run(lattice, n_max, restart_rng(r, base_seed), bound=bound)
             for n in range(1, n_max + 1):
