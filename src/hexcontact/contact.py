@@ -174,18 +174,33 @@ def _header_line(config: Configuration) -> str:
     return json.dumps(header) + "\n"
 
 
-def _ball_lines(config: Configuration) -> list[str]:
+# Formatted Cartesian coordinates of one write call, per lattice form and
+# lifted coordinate: the text of x, y and z by u, v and w.
+_Memo = dict[tuple[int, int], tuple[dict[int, str], dict[int, str], dict[int, str]]]
+
+
+def _ball_lines(config: Configuration, memo: _Memo) -> list[str]:
     """One JSON line per ball, byte for byte what ``json.dumps`` gives for
     the record {"index", "i", "j", "k", "x", "y", "z"}: default separators
-    and the ``repr`` of each Cartesian coordinate rounded to 12 digits."""
+    and the ``repr`` of each Cartesian coordinate rounded to 12 digits.
+
+    A Cartesian coordinate depends only on the lattice's form and the
+    matching lifted coordinate, so ``memo`` keeps its text by those, and
+    :func:`to_cartesian` runs only for a ball with a coordinate not yet seen.
+    """
     lattice = config.lattice
+    lift = lattice.lift
+    xs, ys, zs = memo.setdefault(lattice.form, ({}, {}, {}))
     lines = []
     for idx, ball in enumerate(config.balls):
         i, j, k = ball
-        x, y, z = to_cartesian(lattice, ball)
+        u, v, w = lift(ball)
+        if u not in xs or v not in ys or w not in zs:
+            x, y, z = to_cartesian(lattice, ball)
+            xs[u], ys[v], zs[w] = repr(round(x, 12)), repr(round(y, 12)), repr(round(z, 12))
         lines.append(
             f'{{"index": {idx}, "i": {i}, "j": {j}, "k": {k}, '
-            f'"x": {round(x, 12)!r}, "y": {round(y, 12)!r}, "z": {round(z, 12)!r}}}\n'
+            f'"x": {xs[u]}, "y": {ys[v]}, "z": {zs[w]}}}\n'
         )
     return lines
 
@@ -198,7 +213,7 @@ def write_jsonl(config: Configuration, target: str | IO[str]) -> None:
         with open(target, "w") as fh:
             write_jsonl(config, fh)
         return
-    target.write(_header_line(config) + "".join(_ball_lines(config)))
+    target.write(_header_line(config) + "".join(_ball_lines(config, {})))
 
 
 def write_jsonl_files(pairs: Iterable[tuple[Configuration, str]]) -> None:
@@ -208,22 +223,24 @@ def write_jsonl_files(pairs: Iterable[tuple[Configuration, str]]) -> None:
     the longest one's ball lines are formatted once, and every member whose
     balls are a prefix of it is written from a slice of those lines; any
     other member is formatted on its own.  The records of a greedy sweep are
-    prefixes of its winning runs, so most lines are formatted once per call.
-    Only one group's lines are held at a time.  Paths should be distinct:
-    files are written group by group, not in input order.
+    prefixes of its winning runs, so most lines are formatted once per call,
+    and each coordinate's text once per call.  Only one group's lines are
+    held at a time.  Paths should be distinct: files are written group by
+    group, not in input order.
     """
     groups: dict[tuple[Lattice, str], list[tuple[Configuration, str]]] = {}
     for config, path in pairs:
         groups.setdefault((config.lattice, config.provenance), []).append((config, path))
+    memo: _Memo = {}
     for members in groups.values():
         longest = max((config for config, _ in members), key=len)
-        lines = _ball_lines(longest)
+        lines = _ball_lines(longest, memo)
         for config, path in members:
             n = len(config.balls)
             if config.balls == longest.balls[:n]:
                 body = "".join(lines[:n])
             else:
-                body = "".join(_ball_lines(config))
+                body = "".join(_ball_lines(config, memo))
             with open(path, "w") as fh:
                 fh.write(_header_line(config) + body)
 

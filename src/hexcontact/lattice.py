@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 Point = tuple[int, int, int]
 
@@ -159,6 +159,19 @@ STEP_OFFSETS = {
     -1: ((0, 0), (0, 1), (1, 0)),
 }
 
+
+@cache
+def _layer_offsets(down: int, up: int) -> tuple[Point, ...]:
+    """Neighbor offsets (di, dj, dk) from a hexagonal layer, sorted by (dk,
+    di, dj), whose steps down and up change the shift by ``down`` and ``up``:
+    +1, -1, or 0 where the layer range ends.  9 shapes in all."""
+    return (
+        *((di, dj, -1) for di, dj in STEP_OFFSETS.get(down, ())),
+        *((di, dj, 0) for di, dj in IN_LAYER_OFFSETS),
+        *((di, dj, 1) for di, dj in STEP_OFFSETS.get(up, ())),
+    )
+
+
 # The twelve octahedral neighbor offsets, sorted by (dz, dx, dy).
 OCT_OFFSETS = (
     (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1),
@@ -200,16 +213,10 @@ class Hexagonal:
         layers get 9 offsets instead of 12.
         """
         seq = self.seq
-        offs: list[Point] = []
-        if k - 1 >= seq.t1:
-            d = seq.shift(k - 1) - seq.shift(k)
-            offs.extend((di, dj, -1) for di, dj in STEP_OFFSETS[d])
-        offs.extend((di, dj, 0) for di, dj in IN_LAYER_OFFSETS)
-        if k + 1 <= seq.t2:
-            d = seq.shift(k + 1) - seq.shift(k)
-            offs.extend((di, dj, 1) for di, dj in STEP_OFFSETS[d])
-        offs.sort(key=lambda o: (o[2], o[0], o[1]))
-        return tuple(offs)
+        s = seq.shift(k)
+        down = seq.shift(k - 1) - s if k > seq.t1 else 0
+        up = seq.shift(k + 1) - s if k < seq.t2 else 0
+        return _layer_offsets(down, up)
 
     def steps(self, k0: int, k1: int) -> tuple[int, ...]:
         """The change of the lifted u of (0, 0, k) at each layer step from

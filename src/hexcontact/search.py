@@ -21,10 +21,10 @@ to grid coordinates only when it wins some size.
 
 A run reads its grid only through the neighbor offsets of the layers its
 balls reach, so grids that agree on those make the same run.  A sweep
-therefore starts one shared run per kind and orientation and splits it,
-copying frontier and random state, when a ball reaches a layer whose offsets
-differ among the grids still sharing it.  The frontier is bucketed by
-contact count, so a step finds its best candidates without a full scan.
+therefore starts one shared run per kind and orientation, and copies it,
+frontier and random state, only when the grids sharing it could choose
+differently (see :func:`_walk`).  The frontier is bucketed by contact
+count, so a step finds its best candidates without a full scan.
 
 The exact search is a Russian Doll Search over a finite coordinate window
 in (k, i, j) point order.  It needs no published value: it solves every
@@ -40,6 +40,7 @@ import csv
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .contact import Configuration
@@ -94,6 +95,12 @@ class GreedyParams:
             raise ValueError("start violates horizontal bound")
 
 
+@cache
+def _oriented(offsets: tuple[Point, ...], sign: int) -> tuple[Point, ...]:
+    """Offsets (di, dj, dk) as moves (dk, s*di, s*dj) of a key tuple."""
+    return tuple((dk, sign * di, sign * dj) for di, dj, dk in offsets)
+
+
 class _Grid:
     """One grid of a greedy run or sweep: its position in the input, its
     tie-break id, and its neighbor offsets per layer in key coordinates."""
@@ -108,12 +115,30 @@ class _Grid:
         self._offsets: dict[int, tuple[Point, ...]] = {}
 
     def offsets(self, k: int) -> tuple[Point, ...]:
-        """Offsets (dk, s*di, s*dj) from layer k, computed on first use."""
+        """Offsets (dk, s*di, s*dj) from layer k, looked up once."""
         offs = self._offsets.get(k)
         if offs is None:
-            s = self.sign
-            offs = self._offsets[k] = tuple((dk, s * di, s * dj) for di, dj, dk in self.lattice.offsets(k))
+            offs = self._offsets[k] = _oriented(self.lattice.offsets(k), self.sign)
         return offs
+
+
+class _Part:
+    """Grids of a run with a split pending.  ``far`` counts the balls that
+    touch each point of the unreached layers on these grids, ``top`` is its
+    largest count, and ``deltas`` maps each split layer, plus ``base``, to
+    these grids' key deltas into the unreached layer beyond it."""
+
+    __slots__ = ("grids", "far", "top", "deltas")
+
+    def __init__(self, grids: list[_Grid], far: dict[int, int], top: int, deltas: dict[int, tuple[int, ...]]):
+        self.grids = grids
+        self.far = far
+        self.top = top
+        self.deltas = deltas
+
+
+# Key deltas per offsets tuple, for runs of one stride.
+_Keyed = dict[tuple[Point, ...], tuple[int, ...]]
 
 
 @dataclass
@@ -133,10 +158,12 @@ class _Branch:
 
     ``counts`` maps each frontier key to the number of placed balls it
     touches and each placed key to -1; ``buckets[c]`` holds the frontier keys
-    touching c balls.  The last placed ball is not yet absorbed into the
-    frontier.  ``layers`` maps ``key // stride**2``, the layer plus ``base``,
-    to the key deltas of every layer reached so far, on which all of
-    ``grids`` agree.
+    touching c balls; the start is a frontier key touching 0 balls until it
+    is placed.  Every placed ball but a finished run's last is absorbed into
+    the frontier.  ``layers`` maps ``key // stride**2``, the layer plus
+    ``base``, to the key deltas of every layer reached so far on which all
+    of ``grids`` agree.  ``keyed`` caches key deltas per offsets tuple for
+    every run of a sweep, which all have one stride.
     """
 
     grids: list[_Grid]
@@ -148,63 +175,140 @@ class _Branch:
     placed: list[int]
     curve: list[int]
     layers: dict[int, tuple[int, ...]]
+    keyed: _Keyed
 
     @classmethod
-    def start(cls, grids: list[_Grid], rng: random.Random | None, point: Point, n_max: int) -> "_Branch":
+    def start(
+        cls, grids: list[_Grid], rng: random.Random | None, point: Point, n_max: int,
+        keyed: _Keyed | None = None,
+    ) -> "_Branch":
         """A run of up to ``n_max`` balls whose first ball is ``point``."""
         base = max(map(abs, point)) + n_max - 1
         stride = 2 * base + 1
         s = grids[0].sign
         key = ((point[2] + base) * stride + s * point[0] + base) * stride + s * point[1] + base
-        return cls(grids, rng, base, stride, {key: -1}, [set() for _ in range(13)], [key], [0, 0], {})
+        buckets = [{key}, *(set() for _ in range(12))]
+        return cls(grids, rng, base, stride, {key: 0}, buckets, [], [0], {}, {} if keyed is None else keyed)
 
-    def fork(self, grids: list[_Grid]) -> "_Branch":
-        """A copy of this run for a subset of its grids."""
+    def fork(self, part: _Part) -> "_Branch":
+        """A copy of this run for the grids of ``part`` alone."""
         rng = None
         if self.rng is not None:
             rng = random.Random()
             rng.setstate(self.rng.getstate())
-        return _Branch(
-            grids, rng, self.base, self.stride, dict(self.counts), [set(b) for b in self.buckets],
-            self.placed[:], self.curve[:], dict(self.layers),
+        child = _Branch(
+            self.grids, rng, self.base, self.stride, dict(self.counts), [set(b) for b in self.buckets],
+            self.placed[:], self.curve[:], dict(self.layers), self.keyed,
         )
+        child.merge(part)
+        return child
+
+    def merge(self, part: _Part) -> None:
+        """Make this the run of ``part``'s grids alone, its far counts and
+        deltas joining the frontier and the layers."""
+        self.grids = part.grids
+        counts, buckets, layers = self.counts, self.buckets, self.layers
+        for q, c in part.far.items():
+            counts[q] = c
+            buckets[c].add(q)
+        for layer, far in part.deltas.items():
+            layers[layer] += far
 
     def deltas(self, offs: tuple[Point, ...]) -> tuple[int, ...]:
         """The key deltas of offsets (dk, s*di, s*dj)."""
-        stride = self.stride
-        return tuple((dk * stride + da) * stride + db for dk, da, db in offs)
+        deltas = self.keyed.get(offs)
+        if deltas is None:
+            stride = self.stride
+            deltas = self.keyed[offs] = tuple((dk * stride + da) * stride + db for dk, da, db in offs)
+        return deltas
+
+
+def _reach(branch: _Branch, layer: int, parts: list[_Part]) -> tuple[tuple[int, ...], list[_Part]]:
+    """The key deltas of ``layer``, the layer plus ``base``, that all grids
+    of ``branch`` share, and the pending split, when a ball first reaches it.
+
+    The layers reached before are a range next to this one, and fix its
+    offsets into that range, so the grids can differ only in the offsets
+    into the next layer out.  If they do, every pending part, or all grids
+    if none is pending, splits by them, copying its far counts.
+    """
+    k = layer - branch.base
+    subs = []  # per part, its grids by their offsets from layer k
+    for part in parts or [_Part(branch.grids, {}, 0, {})]:
+        sub: dict[tuple[Point, ...], list[_Grid]] = {}
+        for g in part.grids:
+            sub.setdefault(g.offsets(k), []).append(g)
+        subs.append((part, sub))
+    offs = next(iter(subs[0][1]))
+    full = branch.deltas(offs)
+    if all(len(sub) == 1 and offs in sub for _, sub in subs):
+        branch.layers[layer] = full
+        return full, parts
+    out = 1 if layer - 1 in branch.layers else -1
+    near = branch.layers[layer] = tuple(d for o, d in zip(offs, full) if o[0] != out)
+    split = []
+    for part, sub in subs:
+        for offs, grids in sub.items():
+            far = tuple(d for o, d in zip(offs, branch.deltas(offs)) if o[0] == out)
+            split.append(_Part(grids, dict(part.far), part.top, {**part.deltas, layer: far}))
+    return near, split
 
 
 def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
-    """Run ``branch`` to ``n_max`` balls, depth first over its splits.
+    """Run ``branch`` to ``n_max`` balls, depth first over its forks.
 
-    All grids of a branch share one orientation.  When a ball reaches a layer
-    whose offsets differ among the grids, the branch splits by those offsets;
-    every part but the last continues in a copy.  Yields each finished run.
-    ``n_max`` must not exceed the size the branch was started for.
+    All grids of a branch share one orientation.  A ball that reaches a layer
+    whose offsets differ among them splits them into parts (see
+    :func:`_reach`), but the run goes on as one, each part counting the
+    points of the unreached layer apart.  A part forks into a copy of the
+    run when its largest such count reaches the top count, the first step
+    at which its ties can differ.  Yields each finished run, which serves
+    all its grids.  ``n_max`` must not exceed the size the branch was
+    started for.
     """
-    grids, rng, counts, buckets = branch.grids, branch.rng, branch.counts, branch.buckets
+    rng, counts, buckets = branch.rng, branch.counts, branch.buckets
     placed, curve, layers = branch.placed, branch.curve, branch.layers
     base, stride = branch.base, branch.stride
     plane = stride * stride
     lo, hi = base - bound, base + bound  # the bounded range of a packed digit
     total = curve[-1]
     top = 12
-    p = placed[-1]
-    while len(placed) < n_max:
+    parts: list[_Part] = []  # the pending split, if any
+    far_top = -1  # the largest far count of any part
+    while True:
+        while top and not buckets[top]:
+            top -= 1
+        if far_top >= top:
+            ready = [part for part in parts if part.top >= top]
+            parts = [part for part in parts if part.top < top] or [ready.pop()]
+            for part in ready:
+                yield from _walk(branch.fork(part), n_max, bound)
+            if len(parts) == 1:
+                branch.merge(parts.pop())
+                top = 12  # merged points may top the frontier
+            else:
+                branch.grids = [g for part in parts for g in part.grids]
+            far_top = max((part.top for part in parts), default=-1)
+            continue
+        tied = buckets[top]
+        if not tied:
+            raise FrontierExhaustedError(len(placed), n_max)
+        if len(tied) == 1 or rng is None:
+            p = min(tied)
+        else:
+            p = sorted(tied)[rng.randrange(len(tied))]
+        tied.remove(p)
+        counts[p] = -1
+        placed.append(p)
+        total += top
+        curve.append(total)
+        if len(placed) == n_max:
+            break
         layer = p // plane
         deltas = layers.get(layer)
         if deltas is None:
-            parts: dict[tuple[Point, ...], list[_Grid]] = {}
-            for g in grids:
-                parts.setdefault(g.offsets(layer - base), []).append(g)
-            *forks, (offs, grids) = parts.items()
-            for fork_offs, part in forks:
-                child = branch.fork(part)
-                child.layers[layer] = child.deltas(fork_offs)
-                yield from _walk(child, n_max, bound)
-            branch.grids = grids
-            deltas = layers[layer] = branch.deltas(offs)
+            deltas, parts = _reach(branch, layer, parts)
+            far_top = max((part.top for part in parts), default=-1)
         for d in deltas:
             q = p + d
             c = counts.get(q, 0)
@@ -219,20 +323,19 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
             buckets[c].add(q)
             if c > top:
                 top = c
-        while top and not buckets[top]:
-            top -= 1
-        if not top:
-            raise FrontierExhaustedError(len(placed), n_max)
-        tied = buckets[top]
-        if len(tied) == 1 or rng is None:
-            p = min(tied)
-        else:
-            p = sorted(tied)[rng.randrange(len(tied))]
-        tied.remove(p)
-        counts[p] = -1
-        placed.append(p)
-        total += top
-        curve.append(total)
+        if parts and layer in parts[0].deltas:
+            for part in parts:
+                far = part.far
+                for d in part.deltas[layer]:
+                    q = p + d
+                    c = far.get(q, 0)
+                    if not c and bound and not (lo <= q % stride <= hi and lo <= q // stride % stride <= hi):
+                        continue
+                    far[q] = c = c + 1
+                    if c > part.top:
+                        part.top = c
+                        if c > far_top:
+                            far_top = c
     yield branch
 
 
@@ -300,19 +403,25 @@ def _best(results: Iterable[list[_Winner | None]], n_max: int) -> list[_Winner |
     return best
 
 
-def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int]) -> list[_Winner | None]:
+def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int, _Keyed]) -> list[_Winner | None]:
     """Worker: per-n winners of one restart over one top-level subtree of grids."""
-    grids, n_max, restart, base_seed, bound = args
+    grids, n_max, restart, base_seed, bound, keyed = args
     rng = None if restart == 0 else random.Random(base_seed + restart)
-
-    def runs() -> Iterator[list[_Winner | None]]:
-        for run in _walk(_Branch.start(grids, rng, (0, 0, 0), n_max), n_max, bound):
-            rep = min(run.grids, key=lambda g: (g.gid, g.index))
-            rank = (rep.gid, restart, rep.index)
-            packed = _packed(run)
-            yield [None, *((c, rank, packed) for c in run.curve[1:])]
-
-    return _best(runs(), n_max)
+    best = [-1] * (n_max + 1)  # best[n]: the contacts of winners[n]
+    winners: list[_Winner | None] = [None] * (n_max + 1)
+    for run in _walk(_Branch.start(grids, rng, (0, 0, 0), n_max, keyed), n_max, bound):
+        rep = min(run.grids, key=lambda g: (g.gid, g.index))
+        rank = (rep.gid, restart, rep.index)
+        curve = run.curve
+        packed = None
+        for n in range(1, n_max + 1):
+            c = curve[n]
+            if c > best[n] or (c == best[n] and rank < winners[n][1]):  # type: ignore[index]
+                if packed is None:
+                    packed = _packed(run)
+                best[n] = c
+                winners[n] = (c, rank, packed)
+    return winners
 
 
 def _subtrees(grids: list[_Grid]) -> list[list[_Grid]]:
@@ -335,10 +444,9 @@ def greedy_sweep(
     """Best greedy result per configuration size over grids and restarts.
 
     Restart 0 is the lexicographic run; restart r >= 1 uses seed
-    ``base_seed + r``.  Grids share one run for as long as they agree on the
-    neighbor offsets of every layer the run has reached, so each distinct run
-    is made once.  Per-size results are read off the full runs through the
-    prefix property.  Winners are reduced by contacts descending, then grid
+    ``base_seed + r``.  Grids share one run until their choices can differ
+    (see :func:`_walk`).  Per-size results are read off the full runs through
+    the prefix property.  Winners are reduced by contacts descending, then grid
     id ascending, then restart index ascending, independent of execution
     order, so results are reproducible with any worker count.  ``workers``
     None or 0 means one worker per core.
@@ -354,8 +462,9 @@ def greedy_sweep(
     if workers is not None and workers < 0:
         raise ValueError("workers must be 0 (all cores) or positive")
     subtrees = _subtrees([_Grid(index, g) for index, g in enumerate(grids)])
+    keyed: _Keyed = {}
     tasks = [
-        (sub, n_max, r, base_seed, horizontal_bound)
+        (sub, n_max, r, base_seed, horizontal_bound, keyed)
         for r in range(restarts + 1)
         for sub in subtrees
     ]
@@ -633,9 +742,15 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
                 restarts = int(row["restarts"])
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: line {lineno}: non-integer field") from None
+            for name, value in (("n", n), ("best_contacts", contacts), ("restarts", restarts)):
+                if value < 0:
+                    raise ValueError(f"{path}: line {lineno}: negative {name} {value}")
             if n in seen:
                 raise ValueError(f"{path}: line {lineno}: repeated n = {n}")
             seen.add(n)
-            gid = parse_descriptor(row["grid"]).gid if row["grid"] else -1
+            try:
+                gid = parse_descriptor(row["grid"]).gid if row["grid"] else -1
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
             records.append(SweepRecord(n, contacts, gid, None, row["algorithm"], restarts))
     return records

@@ -329,6 +329,27 @@ class TestCompareCommand:
         assert stderr == f"compare failed: {hex_csv}: line 3: repeated n = 1\n"
         assert not os.path.exists(os.path.join(out, "comparison.csv"))
 
+    @pytest.mark.parametrize("column, value, message", [
+        (0, "-1", "negative n -1"),
+        (1, "-1", "negative best_contacts -1"),
+        (4, "-1", "negative restarts -1"),
+        (2, "hex:-1..1:2", "bad sign bits in descriptor 'hex:-1..1:2'"),
+    ])
+    def test_compare_rejects_bad_field(self, tmp_path, capsys, column, value, message):
+        out = str(tmp_path / "run")
+        run(["sweep", "--layers", "0..1", "--n", "3", "--out", out], capsys)
+        run(["sweep", "--lattice", "oct", "--n", "3", "--out", out], capsys)
+        hex_csv = os.path.join(out, "sweep_hex.csv")
+        with open(hex_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][column] = value
+        with open(hex_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code, _, stderr = run(
+            ["compare", hex_csv, os.path.join(out, "sweep_oct.csv"), "--out", out], capsys)
+        assert code == 2
+        assert stderr == f"compare failed: {hex_csv}: line 3: {message}\n"
+
     def test_uncreatable_out_dir_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         run(["sweep", "--layers", "0..1", "--n", "3", "--out", out], capsys)

@@ -13,7 +13,7 @@ import pytest
 
 from hexcontact import search
 from hexcontact.contact import Configuration
-from hexcontact.lattice import OCT, Hexagonal, descriptor, enumerate_grids
+from hexcontact.lattice import OCT, Hexagonal, descriptor, enumerate_grids, parse_descriptor
 from hexcontact.search import (
     FrontierExhaustedError,
     GreedyParams,
@@ -220,3 +220,70 @@ def test_key_packing_edges_match_reference(lattice, start, bound, n_max):
         cfg = greedy(GreedyParams(lattice, n_max, rule, start=start, horizontal_bound=bound))
         rng = None if seed is None else random.Random(seed)
         assert list(cfg.balls) == reference_run(lattice, n_max, rng, start, bound)[0], seed
+
+
+# A split is deferred: grids that differ only in the offsets into a layer no
+# ball has reached keep one run, each part counting its points of that layer
+# apart, until those points could join a tie.
+
+
+def walk(lattices, n_max, rng=None, bound=0):
+    grids = [search._Grid(i, g) for i, g in enumerate(lattices)]
+    return list(search._walk(search._Branch.start(grids, rng, (0, 0, 0), n_max), n_max, bound))
+
+
+def test_split_never_forking_is_one_run():
+    # the grids differ only in the step from layer 1 to layer 2: a run that
+    # places balls in layer 1 but never one in layer 2 serves both
+    lattices = [parse_descriptor("hex:0..2:10"), parse_descriptor("hex:0..2:11")]
+    (run,) = walk(lattices, 7)
+    balls = search._balls(search._packed(run))
+    assert any(k == 1 for _, _, k in balls[:-1])
+    assert sorted(g.index for g in run.grids) == [0, 1]
+    for lattice in lattices:
+        assert (balls, run.curve) == reference_run(lattice, 7, None)
+    assert len(walk(lattices, 8)) == 2
+
+
+def test_second_split_while_one_is_pending(monkeypatch):
+    # layers 1 and -1 each differ among these grids, in their steps to 2 and -2
+    lattices = [Hexagonal(s) for s in enumerate_grids(-2, 2) if s.eps(-1) == 1]
+    nested = []
+    reach = search._reach
+
+    def hook(branch, layer, parts):
+        deltas, split = reach(branch, layer, parts)
+        if parts and len(split) > len(parts):
+            nested.append((layer - branch.base, len(parts), len(split)))
+        return deltas, split
+
+    monkeypatch.setattr(search, "_reach", hook)
+    for n_max in (10, 40):
+        nested.clear()
+        # restart 1 draws with seed 0, whose run reaches layer -1 while the
+        # split of layer 1 is pending; the lexicographic run does not
+        assert_runs_match(lattices, n_max, restarts=1, base_seed=-1)
+        assert nested == [(-1, 2, 4)]
+
+
+def test_far_points_cut_by_horizontal_bound(monkeypatch):
+    parts = []
+    reach = search._reach
+
+    def hook(branch, layer, pending):
+        deltas, split = reach(branch, layer, pending)
+        parts.extend((part, branch.base, branch.stride) for part in split)
+        return deltas, split
+
+    monkeypatch.setattr(search, "_reach", hook)
+    assert_runs_match(NINE_LAYERS, 80, restarts=2, base_seed=9, bound=2)
+    far = [(key, base, stride) for part, base, stride in parts for key in part.far]
+    assert far
+    for key, base, stride in far:
+        assert abs(key // stride % stride - base) <= 2 and abs(key % stride - base) <= 2
+
+
+def test_deferred_splits_with_two_workers():
+    one = greedy_sweep(80, NINE_LAYERS, restarts=2, base_seed=1, workers=1)
+    assert greedy_sweep(80, NINE_LAYERS, restarts=2, base_seed=1, workers=2) == one
+    assert one == reference_sweep(80, NINE_LAYERS, restarts=2, base_seed=1)
