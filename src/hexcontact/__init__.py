@@ -5,7 +5,6 @@ searches, and comparison against bundled reference tables."""
 from .bounds import (
     KNOWN_CONTACTS,
     REFERENCE_GREEDY_HEX,
-    REFERENCE_OCT_BETTER,
     ComparisonRow,
     KnownValue,
     Status,
@@ -32,7 +31,6 @@ from .lattice import (
     Lattice,
     Octahedral,
     Point,
-    descriptor,
     enumerate_grids,
     grid_id,
     neighbors,
@@ -40,13 +38,10 @@ from .lattice import (
     parse_descriptor,
     scaled_sq_dist,
     seq_from_grid_id,
-    to_cartesian,
 )
 from .search import (
-    LEX,
     FrontierExhaustedError,
     GreedyParams,
-    Lexicographic,
     SeededRandom,
     SweepRecord,
     Window,

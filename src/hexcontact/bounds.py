@@ -122,25 +122,15 @@ def octahedral_bound(k: int) -> tuple[int, int]:
     return n, 4 * k**3 - 6 * k**2 + 2 * k
 
 
-def octahedral_bound_by_n(n_max: int) -> dict[int, int]:
-    """The stacked-octahedron bounds indexed by ball count, up to n_max."""
-    out = {}
-    k = 1
-    while True:
-        n, bound = octahedral_bound(k)
-        if n > n_max:
-            return out
-        out[n] = bound
-        k += 1
-
-
 def literature_best(n: int) -> int | None:
     """Strongest bundled lower bound on c(n): published table, verified
     value or formula."""
     candidates = [t[n].value for t in (KNOWN_CONTACTS, VERIFIED_CONTACTS) if n in t]
-    formula = octahedral_bound_by_n(n).get(n)
-    if formula is not None:
-        candidates.append(formula)
+    if n >= 1:
+        # n = (2k^3 + k)/3 puts the cube root of 3n/2 within 1/(6k) above k
+        n_k, formula = octahedral_bound(round((1.5 * n) ** (1 / 3)))
+        if n_k == n:
+            candidates.append(formula)
     return max(candidates) if candidates else None
 
 

@@ -27,14 +27,7 @@ from .contact import (
     write_jsonl,
     write_jsonl_files,
 )
-from .lattice import (
-    OCT,
-    Hexagonal,
-    Lattice,
-    descriptor,
-    enumerate_grids,
-    to_cartesian,
-)
+from .lattice import OCT, Hexagonal, Lattice, enumerate_grids
 from .search import (
     FrontierExhaustedError,
     Window,
@@ -114,7 +107,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     csv_path = os.path.join(out, f"sweep_{kind}.csv")
     write_sweep_csv(csv_path, records, runtime_ms)
     write_jsonl_files(
-        (rec.configuration, os.path.join(out, f"c{rec.n}_{descriptor(rec.configuration.lattice)}.jsonl"))
+        (rec.configuration, os.path.join(out, f"c{rec.n}_{rec.configuration.lattice.descriptor}.jsonl"))
         for rec in records
     )
 
@@ -162,7 +155,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     out = _outdir(args)
     files = []
     for rec in records[lo:]:
-        grid_desc = descriptor(rec.configuration.lattice)
+        grid_desc = rec.configuration.lattice.descriptor
         print(f"n={rec.n} maximum contacts: {rec.best_contacts} (grid {grid_desc})")
         files.append((rec.configuration, os.path.join(out, f"c{rec.n}_{grid_desc}.jsonl")))
     write_jsonl_files(files)
@@ -183,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{args.path}: invariant violation: {exc}", file=sys.stderr)
         return 1
     degrees = report.degree_sequence
-    print(f"lattice:          {descriptor(config.lattice)}")
+    print(f"lattice:          {config.lattice.descriptor}")
     print(f"balls:            {report.n}")
     print(f"contacts:         {report.contacts}")
     print(f"degree range:     {min(degrees) if degrees else '-'}..{max(degrees) if degrees else '-'}")
@@ -224,7 +217,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             writer = csv.writer(fh)
             writer.writerow(["index", "x", "y", "z"])
             for idx, ball in enumerate(config.balls):
-                x, y, z = to_cartesian(config.lattice, ball)
+                x, y, z = config.lattice.cartesian(ball)
                 writer.writerow([idx, f"{x:.12f}", f"{y:.12f}", f"{z:.12f}"])
     else:
         out_path = args.output or os.path.join(_outdir(args), f"{stem}.jsonl")
@@ -233,7 +226,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="hexcontact",
         description="Contact numbers of unit-ball packings on layered hexagonal "
@@ -249,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--layers", type=_parse_range, metavar="T1..T2",
                        help="hexagonal layer range (default -4..4, or the window's)")
         p.add_argument("--all-grids", action="store_true",
-                       help="keep mirror grids instead of normalizing the first upward sign to +1")
+                       help="keep both grids of each mirror pair, not only the one of orientation +1")
 
     p = sub.add_parser("sweep", help="greedy sweep over a grid family")
     add_lattice(p)
@@ -293,12 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in [parser, *sub.choices.values()]:
         sp._negative_number_matcher = matcher
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves no state in it."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .lattice import Lattice, Point, descriptor, parse_descriptor, to_cartesian
+from .lattice import Lattice, Point, parse_descriptor
 
 
 class DuplicateBallError(ValueError):
@@ -61,7 +61,7 @@ class Configuration:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "balls", tuple(tuple(b) for b in self.balls))
+        object.__setattr__(self, "balls", tuple(map(tuple, self.balls)))
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -167,7 +167,7 @@ def verify(config: Configuration) -> ContactReport:
 
 def _header_line(config: Configuration) -> str:
     header = {
-        "lattice": descriptor(config.lattice),
+        "lattice": config.lattice.descriptor,
         "n": len(config.balls),
         "provenance": config.provenance,
     }
@@ -186,7 +186,7 @@ def _ball_lines(config: Configuration, memo: _Memo) -> list[str]:
 
     A Cartesian coordinate depends only on the lattice's form and the
     matching lifted coordinate, so ``memo`` keeps its text by those, and
-    :func:`to_cartesian` runs only for a ball with a coordinate not yet seen.
+    ``cartesian`` runs only for a ball with a coordinate not yet seen.
     """
     lattice = config.lattice
     lift = lattice.lift
@@ -196,7 +196,7 @@ def _ball_lines(config: Configuration, memo: _Memo) -> list[str]:
         i, j, k = ball
         u, v, w = lift(ball)
         if u not in xs or v not in ys or w not in zs:
-            x, y, z = to_cartesian(lattice, ball)
+            x, y, z = lattice.cartesian(ball)
             xs[u], ys[v], zs[w] = repr(round(x, 12)), repr(round(y, 12)), repr(round(z, 12))
         lines.append(
             f'{{"index": {idx}, "i": {i}, "j": {j}, "k": {k}, '

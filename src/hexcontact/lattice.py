@@ -20,10 +20,12 @@ the contact and search code read it off their attributes alone:
 * ``steps(k0, k1)``: how far the lifted origin moves in u at each layer step,
   which with ``form`` fixes what a window over those layers sees;
 * ``gid`` and ``sign``: the grid id and the mirror orientation, -1 and +1 on
-  the octahedral lattice.
+  the octahedral lattice;
+* ``descriptor``: the text form, ``hex:t1..t2:<bits>`` or ``oct``, which
+  :func:`parse_descriptor` reads back.
 
 Contact decisions are therefore exact.  Floating point enters only in
-:func:`to_cartesian`, used for export and plotting.
+``cartesian(p)``, the center of a grid point, used for export and plotting.
 """
 
 from __future__ import annotations
@@ -132,20 +134,14 @@ def seq_from_grid_id(t1: int, t2: int, gid: int) -> EpsilonSeq:
 def enumerate_grids(t1: int, t2: int, normalize: bool = True) -> list[EpsilonSeq]:
     """All sign assignments over layers t1..t2, ordered by grid id.
 
-    With ``normalize`` (and t2 >= 1) only sequences whose layer-1 sign is +1
-    are kept; mirror grids are then represented once, halving the count.
-    Raises ValueError when t1 > t2.
+    With ``normalize`` only sequences of :func:`orientation` +1 are kept;
+    mirror grids are then represented once, halving the count whenever
+    there is a layer besides 0.  Raises ValueError when t1 > t2.
     """
     if t1 > t2:
         raise ValueError(f"empty layer range {t1}..{t2}")
-    n = t2 - t1
-    out = []
-    for gid in range(1 << n):
-        seq = seq_from_grid_id(t1, t2, gid)
-        if normalize and t2 >= 1 and seq.eps(1) != 1:
-            continue
-        out.append(seq)
-    return out
+    seqs = (seq_from_grid_id(t1, t2, gid) for gid in range(1 << (t2 - t1)))
+    return [seq for seq in seqs if not normalize or orientation(seq) == 1]
 
 
 # Horizontal neighbor offsets within one hexagonal layer.
@@ -206,6 +202,14 @@ class Hexagonal:
         """The mirror orientation of the grid."""
         return orientation(self.seq)
 
+    @property
+    def descriptor(self) -> str:
+        """``hex:t1..t2:<bits>``, one bit per nonzero layer from t1 upward,
+        '1' for a +1 sign."""
+        seq = self.seq
+        bits = "".join("1" if v == 1 else "0" for v in seq.signs)
+        return f"hex:{seq.t1}..{seq.t2}:{bits}"
+
     def offsets(self, k: int) -> tuple[Point, ...]:
         """Neighbor offsets (di, dj, dk) available from layer k, sorted by (dk, di, dj).
 
@@ -234,6 +238,11 @@ class Hexagonal:
         s = self.seq.shift(k)
         return (2 * a + b + s, 3 * b + s, k)
 
+    def cartesian(self, p: Point) -> tuple[float, float, float]:
+        """The center of the grid point ``p``, read off its lift."""
+        u, v, w = self.lift(p)
+        return (float(u), v / SQRT3, SQRT8_3 * w)
+
 
 @dataclass(frozen=True)
 class Octahedral:
@@ -245,6 +254,7 @@ class Octahedral:
     layers = (-math.inf, math.inf)
     gid = -1
     sign = 1
+    descriptor = "oct"
 
     def offsets(self, k: int) -> tuple[Point, ...]:
         """The twelve neighbor offsets, the same from every layer."""
@@ -260,26 +270,19 @@ class Octahedral:
         a, b, k = p
         return (2 * a + k, 2 * b + k, k)
 
+    def cartesian(self, p: Point) -> tuple[float, float, float]:
+        """The center of the grid point ``p``, read off its lift."""
+        u, v, w = self.lift(p)
+        return (float(u), float(v), SQRT2 * w)
+
 
 Lattice = Hexagonal | Octahedral
 OCT = Octahedral()
 
 
-def descriptor(lattice: Lattice) -> str:
-    """Text form of a lattice: ``hex:t1..t2:<bitstring>`` or ``oct``.
-
-    Bitstring characters follow the nonzero layers from t1 upward, '1' for a
-    +1 sign.
-    """
-    if isinstance(lattice, Octahedral):
-        return "oct"
-    seq = lattice.seq
-    bits = "".join("1" if v == 1 else "0" for v in seq.signs)
-    return f"hex:{seq.t1}..{seq.t2}:{bits}"
-
-
 def parse_descriptor(text: str) -> Lattice:
-    """Inverse of :func:`descriptor`; raises ValueError on malformed input."""
+    """The lattice whose ``descriptor`` is ``text``; raises ValueError on
+    malformed input."""
     text = text.strip()
     if text == "oct":
         return OCT
@@ -297,14 +300,6 @@ def parse_descriptor(text: str) -> Lattice:
         raise ValueError(f"bad sign bits in descriptor {text!r}")
     signs = tuple(1 if c == "1" else -1 for c in parts[2])
     return Hexagonal(EpsilonSeq(t1, t2, signs))
-
-
-def to_cartesian(lattice: Lattice, p: Point) -> tuple[float, float, float]:
-    """Cartesian center coordinates of the grid point ``p``, read off its lift."""
-    u, v, w = lattice.lift(p)
-    if isinstance(lattice, Hexagonal):
-        return (float(u), v / SQRT3, SQRT8_3 * w)
-    return (float(u), float(v), SQRT2 * w)
 
 
 def scaled_sq_dist(lattice: Lattice, p: Point, q: Point) -> int:

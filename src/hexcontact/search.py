@@ -7,10 +7,10 @@ random choice among the tied candidates; both rules make runs fully
 deterministic and give the prefix property: the first n balls of a long run
 are exactly the run of length n.
 
-Lexicographic keys use orientation-adjusted coordinates (k, s*i, s*j) where s
-is the grid's mirror orientation.  A grid and its sign-flipped twin therefore
+The tie keys are orientation-adjusted coordinates (k, s*i, s*j) where s is
+the grid's mirror orientation.  A grid and its sign-flipped twin therefore
 produce mirror-image runs with identical contact counts, so sweeping only the
-grids normalized to a +1 first upward sign loses nothing.
+grids of orientation +1 loses nothing.
 
 A run stores each point as one packed integer, its key tuple written as the
 digits of a mixed-radix number.  The radix is wide enough for every
@@ -44,7 +44,7 @@ from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .contact import Configuration
-from .lattice import Lattice, Point, descriptor, parse_descriptor
+from .lattice import Lattice, Point, parse_descriptor
 
 
 class FrontierExhaustedError(RuntimeError):
@@ -56,28 +56,20 @@ class FrontierExhaustedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Lexicographic:
-    """Deterministic tie rule: smallest orientation-adjusted (k, i, j) wins."""
-
-
-@dataclass(frozen=True)
 class SeededRandom:
     """Tie rule: uniform choice among tied candidates, driven by a fixed seed."""
 
     seed: int
 
 
-TieRule = Lexicographic | SeededRandom
-LEX = Lexicographic()
-
-
 @dataclass(frozen=True)
 class GreedyParams:
-    """Complete description of one greedy run."""
+    """Complete description of one greedy run.  With no ``tie_rule`` the
+    smallest orientation-adjusted (k, i, j) among tied candidates wins."""
 
     lattice: Lattice
     n_max: int
-    tie_rule: TieRule = LEX
+    tie_rule: SeededRandom | None = None
     start: Point = (0, 0, 0)
     horizontal_bound: int = 0
 
@@ -360,18 +352,20 @@ def _balls(run: _Packed) -> list[Point]:
     return balls
 
 
+def _provenance(lattice: Lattice, seed: int | None) -> str:
+    """The provenance of a greedy run on ``lattice``, lexicographic when
+    ``seed`` is None."""
+    tag = "lex" if seed is None else f"seed={seed}"
+    return f"greedy:{tag}:grid={lattice.descriptor}"
+
+
 def greedy(params: GreedyParams) -> Configuration:
     """Run the greedy algorithm described by ``params``."""
-    if isinstance(params.tie_rule, SeededRandom):
-        rng = random.Random(params.tie_rule.seed)
-        tag = f"seed={params.tie_rule.seed}"
-    else:
-        rng = None
-        tag = "lex"
+    seed = None if params.tie_rule is None else params.tie_rule.seed
+    rng = None if seed is None else random.Random(seed)
     start = _Branch.start([_Grid(0, params.lattice)], rng, params.start, params.n_max)
     (run,) = _walk(start, params.n_max, params.horizontal_bound)
-    provenance = f"greedy:{tag}:grid={descriptor(params.lattice)}"
-    return Configuration(params.lattice, tuple(_balls(_packed(run))), provenance)
+    return Configuration(params.lattice, tuple(_balls(_packed(run))), _provenance(params.lattice, seed))
 
 
 @dataclass(frozen=True)
@@ -487,8 +481,7 @@ def greedy_sweep(
     for (gid, r, index), sizes in wins.items():
         balls = _balls(best[sizes[0]][2])  # type: ignore[index]
         lattice = grids[index]
-        tag = "lex" if r == 0 else f"seed={base_seed + r}"
-        provenance = f"greedy:{tag}:grid={descriptor(lattice)}"
+        provenance = _provenance(lattice, None if r == 0 else base_seed + r)
         for n in sizes:
             c = best[n][0]  # type: ignore[index]
             best[n] = None
@@ -649,7 +642,7 @@ def exhaustive(
 
     def config(mask: int) -> Configuration:
         balls = tuple(pts[i] for i in range(count) if mask >> i & 1)
-        return Configuration(lattice, balls, f"exhaustive:grid={descriptor(lattice)}")
+        return Configuration(lattice, balls, f"exhaustive:grid={lattice.descriptor}")
 
     configs = [config(mask) for mask in found]
     return column[n], configs, [(0, empty), *zip(column[1:], map(config, firsts[1:]))]
@@ -720,7 +713,7 @@ def write_sweep_csv(path: str, records: Iterable[SweepRecord], runtime_ms: int) 
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_COLUMNS)
         for rec in records:
-            grid = descriptor(rec.configuration.lattice) if rec.configuration is not None else ""
+            grid = rec.configuration.lattice.descriptor if rec.configuration is not None else ""
             writer.writerow(
                 [rec.n, rec.best_contacts, grid, rec.algorithm, rec.restarts_used, runtime_ms]
             )

@@ -163,6 +163,12 @@ class TestLiteratureBest:
     def test_absent_outside_tables(self):
         assert literature_best(150) is None
 
+    def test_formula_applies_exactly_at_octahedron_sizes(self):
+        sizes = dict(octahedral_bound(k) for k in range(1, 30))
+        for n in range(-1, max(sizes) + 2):
+            if n not in KNOWN_CONTACTS and n not in VERIFIED_CONTACTS:
+                assert literature_best(n) == sizes.get(n), n
+
 
 class TestCompareTables:
     def test_oct_win_and_tie(self):

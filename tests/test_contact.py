@@ -25,13 +25,11 @@ from hexcontact.lattice import (
     EpsilonSeq,
     Hexagonal,
     Octahedral,
-    descriptor,
     enumerate_grids,
     neighbors,
     parse_descriptor,
     scaled_sq_dist,
     seq_from_grid_id,
-    to_cartesian,
 )
 from hexcontact.search import Window, exhaustive_column, greedy_sweep
 
@@ -158,6 +156,13 @@ def test_verify_matches_all_pairs_on_sweeps(swept_configs, kind):
     assert [len(c) for c in configs] == list(range(1, 201))
     for cfg in configs:
         assert summary(verify(cfg)) == all_pairs_report(cfg), len(cfg)
+
+
+def test_list_balls_become_tuples():
+    cfg = Configuration(UP_GRID, [[0, 0, 0], [1, 0, 0]])
+    assert type(cfg.balls) is tuple and all(type(b) is tuple for b in cfg.balls)
+    assert cfg == Configuration(UP_GRID, TETRA[:2])
+    assert hash(cfg) == hash(Configuration(UP_GRID, TETRA[:2]))
 
 
 class TestContactCount:
@@ -413,13 +418,13 @@ def reference_jsonl(config):
     """The file text of a configuration, one ``json.dumps`` per record: the
     reference for the line formatter of the writers."""
     header = {
-        "lattice": descriptor(config.lattice),
+        "lattice": config.lattice.descriptor,
         "n": len(config.balls),
         "provenance": config.provenance,
     }
     lines = [json.dumps(header)]
     for idx, ball in enumerate(config.balls):
-        x, y, z = to_cartesian(config.lattice, ball)
+        x, y, z = config.lattice.cartesian(ball)
         record = {
             "index": idx,
             "i": ball[0],
@@ -493,12 +498,14 @@ class TestJsonlFormatter:
     def test_sweep_lines_formatted_once_per_run(self, written_columns, kind, tmp_path, monkeypatch):
         configs = written_columns[kind]
         calls = []
+        lattice_type = type(configs[0].lattice)
+        cartesian = lattice_type.cartesian
 
         def counting(lattice, p):
             calls.append(p)
-            return to_cartesian(lattice, p)
+            return cartesian(lattice, p)
 
-        monkeypatch.setattr("hexcontact.contact.to_cartesian", counting)
+        monkeypatch.setattr(lattice_type, "cartesian", counting)
         write_jsonl_files((config, str(tmp_path / f"{idx}.jsonl")) for idx, config in enumerate(configs))
         # at most one conversion per distinct lifted coordinate value, since
         # each adds the text of at least one

@@ -17,7 +17,6 @@ from hexcontact.lattice import (
     STEP_UP_PLUS,
     EpsilonSeq,
     Hexagonal,
-    descriptor,
     enumerate_grids,
     grid_id,
     is_contact,
@@ -26,7 +25,6 @@ from hexcontact.lattice import (
     parse_descriptor,
     scaled_sq_dist,
     seq_from_grid_id,
-    to_cartesian,
 )
 
 
@@ -45,7 +43,7 @@ def seqs(max_span: int = 5):
 
 def float_scaled_dist(lattice, p, q):
     """Independent oracle: scale * squared Euclidean distance, in floats."""
-    fp, fq = to_cartesian(lattice, p), to_cartesian(lattice, q)
+    fp, fq = lattice.cartesian(p), lattice.cartesian(q)
     d2 = sum((a - b) ** 2 for a, b in zip(fp, fq))
     return (3.0 if isinstance(lattice, Hexagonal) else 1.0) * d2
 
@@ -143,27 +141,31 @@ class TestEnumerateGrids:
         with pytest.raises(ValueError, match=r"^empty layer range 1\.\.-1$"):
             enumerate_grids(1, -1)
 
-    def test_normalize_noop_without_upper_layers(self):
-        assert len(enumerate_grids(-2, 0, normalize=True)) == 4
+    @pytest.mark.parametrize("t1", [-2, -3])
+    def test_normalize_halves_without_upper_layers(self, t1):
+        kept = enumerate_grids(t1, 0, normalize=True)
+        assert len(kept) == 2 ** (-t1 - 1)
+        assert {s.flipped() for s in kept}.isdisjoint(kept)
+        assert all(orientation(s) == 1 for s in kept)
 
 
 class TestCartesian:
     def test_origin_fixed_in_every_grid(self):
         for seq in enumerate_grids(-1, 1, normalize=False):
-            assert to_cartesian(Hexagonal(seq), (0, 0, 0)) == (0.0, 0.0, 0.0)
+            assert Hexagonal(seq).cartesian((0, 0, 0)) == (0.0, 0.0, 0.0)
 
     def test_first_upper_neighbor_is_the_up_plus_step(self):
         lat = Hexagonal(EpsilonSeq(0, 1, (1,)))
-        got = to_cartesian(lat, (0, 0, 1))
+        got = lat.cartesian((0, 0, 1))
         assert got == pytest.approx(STEP_UP_PLUS, abs=1e-12)
 
     def test_octahedral_generator(self):
-        assert to_cartesian(OCT, (0, 0, 1)) == pytest.approx((1.0, 1.0, math.sqrt(2)), abs=1e-12)
+        assert OCT.cartesian((0, 0, 1)) == pytest.approx((1.0, 1.0, math.sqrt(2)), abs=1e-12)
 
     def test_layer_out_of_range(self):
         lat = Hexagonal(EpsilonSeq(0, 1, (1,)))
         with pytest.raises(ValueError):
-            to_cartesian(lat, (0, 0, 2))
+            lat.cartesian((0, 0, 2))
 
     @given(seqs(), st.data())
     def test_hex_center_is_the_generator_sum(self, seq, data):
@@ -178,14 +180,14 @@ class TestCartesian:
             i * a + j * b + k * (up + down) / 2 + s * (up - down) / 2
             for a, b, up, down in zip(PLANAR_I, PLANAR_J, STEP_UP_PLUS, STEP_UP_MINUS)
         )
-        assert to_cartesian(lat, p) == pytest.approx(want, abs=1e-9)
+        assert lat.cartesian(p) == pytest.approx(want, abs=1e-9)
 
     @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)))
     def test_oct_center_is_the_generator_sum(self, p):
         want = tuple(
             p[0] * a + p[1] * b + p[2] * c for a, b, c in zip(OCT_GEN_X, OCT_GEN_Y, OCT_GEN_Z)
         )
-        assert to_cartesian(OCT, p) == pytest.approx(want, abs=1e-9)
+        assert OCT.cartesian(p) == pytest.approx(want, abs=1e-9)
 
 
 class TestLift:
@@ -328,8 +330,8 @@ class TestReflection:
         p = data.draw(
             st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(seq.t1, seq.t2))
         )
-        x, y, z = to_cartesian(lat, p)
-        xr, yr, zr = to_cartesian(mirror, (-p[0], -p[1], p[2]))
+        x, y, z = lat.cartesian(p)
+        xr, yr, zr = mirror.cartesian((-p[0], -p[1], p[2]))
         assert (xr, yr, zr) == pytest.approx((-x, -y, z), abs=1e-12)
 
     @given(seqs(4), st.data())
@@ -364,18 +366,18 @@ def test_uniform_stacking_hits_the_true_lattice():
         want = tuple(
             x * a + y * b + z * c for a, b, c in zip(PLANAR_I, PLANAR_J, STEP_UP_PLUS)
         )
-        assert to_cartesian(lat, (x, y, z)) == pytest.approx(want, abs=1e-9)
+        assert lat.cartesian((x, y, z)) == pytest.approx(want, abs=1e-9)
 
 
 class TestDescriptor:
     @pytest.mark.parametrize("text", ["hex:-1..1:01", "hex:-4..4:11111111", "hex:0..0:", "oct"])
     def test_roundtrip(self, text):
-        assert descriptor(parse_descriptor(text)) == text
+        assert parse_descriptor(text).descriptor == text
 
     @given(seqs(4))
     def test_roundtrip_random(self, seq):
         lat = Hexagonal(seq)
-        assert parse_descriptor(descriptor(lat)) == lat
+        assert parse_descriptor(lat.descriptor) == lat
 
     @pytest.mark.parametrize(
         "bad", ["hex", "hex:1..2", "hex:a..b:01", "hex:-1..1:02", "cubic", "hex:-1..1:01:x"]

@@ -13,7 +13,7 @@ import pytest
 
 from hexcontact import search
 from hexcontact.contact import Configuration
-from hexcontact.lattice import OCT, Hexagonal, descriptor, enumerate_grids, parse_descriptor
+from hexcontact.lattice import OCT, Hexagonal, enumerate_grids, parse_descriptor
 from hexcontact.search import (
     FrontierExhaustedError,
     GreedyParams,
@@ -91,7 +91,7 @@ def reference_sweep(n_max, grids, restarts=0, base_seed=0, bound=0):
     for n in range(1, n_max + 1):
         c, gid, r, balls, lattice = best[n]
         tag = "lex" if r == 0 else f"seed={base_seed + r}"
-        config = Configuration(lattice, tuple(balls[:n]), f"greedy:{tag}:grid={descriptor(lattice)}")
+        config = Configuration(lattice, tuple(balls[:n]), f"greedy:{tag}:grid={lattice.descriptor}")
         records.append(SweepRecord(n, c, gid, config, "greedy", r))
     return records
 
@@ -115,7 +115,7 @@ def assert_runs_match(lattices, n_max, restarts, base_seed=0, bound=0):
         assert sorted(shared) == list(range(len(lattices)))
         for index, lattice in enumerate(lattices):
             ref = reference_run(lattice, n_max, restart_rng(r, base_seed), bound=bound)
-            assert shared[index] == ref, (descriptor(lattice), r)
+            assert shared[index] == ref, (lattice.descriptor, r)
 
 
 ALL_NINE_LAYERS = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=False)]
@@ -179,10 +179,12 @@ def test_sweep_decodes_only_winning_runs(lattices, restarts, monkeypatch):
 @pytest.mark.parametrize("start", [(0, 0, 0), (2, -1, 3)])
 def test_greedy_matches_reference(tie_rule, start):
     for lattice in [OCT, NINE_LAYERS[0], NINE_LAYERS[77], ALL_NINE_LAYERS[3]]:
-        rule = search.LEX if tie_rule is None else SeededRandom(tie_rule)
+        rule = None if tie_rule is None else SeededRandom(tie_rule)
         cfg = greedy(GreedyParams(lattice, 70, rule, start=start))
         rng = None if tie_rule is None else random.Random(tie_rule)
         assert list(cfg.balls) == reference_run(lattice, 70, rng, start)[0]
+        tag = "lex" if tie_rule is None else f"seed={tie_rule}"
+        assert cfg.provenance == f"greedy:{tag}:grid={lattice.descriptor}"
 
 
 def test_exhaustion_matches_reference():
@@ -213,10 +215,10 @@ EDGE_STARTS = [
 
 @pytest.mark.parametrize("n_max", [1, 2, 200])
 @pytest.mark.parametrize("lattice, start, bound", EDGE_STARTS,
-                         ids=[f"{descriptor(l)}@{s}/{b}" for l, s, b in EDGE_STARTS])
+                         ids=[f"{l.descriptor}@{s}/{b}" for l, s, b in EDGE_STARTS])
 def test_key_packing_edges_match_reference(lattice, start, bound, n_max):
     for seed in [None, *range(16 if n_max < 200 else 3)]:
-        rule = search.LEX if seed is None else SeededRandom(seed)
+        rule = None if seed is None else SeededRandom(seed)
         cfg = greedy(GreedyParams(lattice, n_max, rule, start=start, horizontal_bound=bound))
         rng = None if seed is None else random.Random(seed)
         assert list(cfg.balls) == reference_run(lattice, n_max, rng, start, bound)[0], seed
