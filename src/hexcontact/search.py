@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -467,6 +466,9 @@ def greedy_sweep(
 
         workers = os.cpu_count() or 1
     if workers > 1 and len(tasks) > 1:
+        # imported here: the pool pulls in multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             best = _best(pool.map(_sweep_subtree, tasks, chunksize=max(1, len(tasks) // (workers * 4))), n_max)
     else:
@@ -540,10 +542,11 @@ def exhaustive(
     points s..: they skip s, scoring suffix[s + 1][r], or take s, scoring at
     most cap = suffix[s + 1][r - 1] + min(r - 1, later neighbors of s).  A
     depth-first search for the second kind must beat suffix[s + 1][r] and
-    stops at cap.  Its branches die when their contacts, plus the largest
-    chosen-neighbor counts of the later points, plus the suffix optimum of
-    those points, cannot reach the target; that optimum only falls as the
-    next point moves on, so the first such point ends its loop.  Then one
+    stops at cap.  Each step of its loops, about to try point idx with left
+    balls to place, first bounds the branch: its contacts, plus the left
+    largest chosen-neighbor counts of the points the loop can still take,
+    idx.., plus suffix[idx][left].  Each term only falls as idx grows, so
+    the first step that cannot reach the target ends its loop.  Then one
     search per r, whose target is c_W(r) = suffix[0][r], stops at the first
     maximizer in search order, or with ``all_max`` collects every maximizer
     of n.  Returns the optimum, the first maximizing configuration, or all
@@ -575,15 +578,21 @@ def exhaustive(
     suffix = [[0] + [-1] * n for _ in range(count + 1)]
     nodes = pruned = 0
 
-    def dfs(start: int, left: int, contacts: int, mask: int, counts: int, gain: int) -> bool:
+    def dfs(start: int, left: int, contacts: int, mask: int, counts: int) -> bool:
         """Add ``left`` points from ``start`` on to ``mask``, keeping branches
-        that can reach ``bar``; ``gain`` bounds the new points' contacts with
-        ``mask``.  True stops the search."""
+        that can reach ``bar``.  True stops the search."""
         nonlocal bar, nodes, pruned
         rest = left - 1
         for idx in range(start, count - rest):
             nodes += 1
-            # suffix[idx][left] only falls as idx grows: no later point does better
+            # the left largest chosen-neighbor counts of the points idx..
+            ahead = (counts >> 8 * idx).to_bytes(count - idx, "little")
+            if not rest:
+                gain = max(ahead)
+            elif count - idx - ahead.count(0) <= left:
+                gain = sum(ahead)
+            else:
+                gain = sum(sorted(ahead)[-left:])
             if contacts + gain + suffix[idx][left] < bar:
                 pruned += 1
                 if progress is not None and nodes % progress_interval == 0:
@@ -591,17 +600,7 @@ def exhaustive(
                 return False
             nc = contacts + (counts >> 8 * idx & 255)
             grown = mask | 1 << idx
-            more = counts + touch[idx]
-            if rest:
-                # the rest largest chosen-neighbor counts of the later points
-                ahead = (more >> 8 * idx + 8).to_bytes(count - idx - 1, "little")
-                if count - idx - 1 - ahead.count(0) <= rest:
-                    g = sum(ahead)
-                else:
-                    g = sum(sorted(ahead)[-rest:])
-                cut = nc + g + suffix[idx + 1][rest] < bar
-            else:
-                cut = nc < bar
+            cut = not rest and nc < bar
             if cut:
                 pruned += 1
             elif not rest:
@@ -609,7 +608,7 @@ def exhaustive(
                 bar = nc + step
             if progress is not None and nodes % progress_interval == 0:
                 progress(nodes, bar - step, pruned)
-            if not cut and (dfs(idx + 1, rest, nc, grown, more, g) if rest else nc >= stop):
+            if not cut and (dfs(idx + 1, rest, nc, grown, counts + touch[idx]) if rest else nc >= stop):
                 return True
         return False
 
@@ -625,7 +624,7 @@ def exhaustive(
             bar, stop = skip[r] + 1, skip[r - 1] + min(r - 1, degree)
             if bar <= stop:
                 found = []
-                dfs(s + 1, r - 1, 0, 1 << s, touch[s], min(r - 1, degree))
+                dfs(s + 1, r - 1, 0, 1 << s, touch[s])
             row[r] = bar - 1
 
     # Every optimum is known: a subset must match it, and the first match
@@ -636,7 +635,7 @@ def exhaustive(
         bar = suffix[0][size]
         stop = bar + 1 if all_max and size == n else bar
         found = []
-        dfs(0, size, 0, 0, 0, 0)
+        dfs(0, size, 0, 0, 0)
         firsts.append(found[0])
     column = suffix[0]
 
