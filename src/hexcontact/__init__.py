@@ -32,12 +32,8 @@ from .lattice import (
     Octahedral,
     Point,
     enumerate_grids,
-    grid_id,
-    neighbors,
-    orientation,
     parse_descriptor,
     scaled_sq_dist,
-    seq_from_grid_id,
 )
 from .search import (
     FrontierExhaustedError,

@@ -173,14 +173,6 @@ def compare_tables(
     return rows
 
 
-def oct_wins(rows: Iterable[ComparisonRow]) -> list[ComparisonRow]:
-    return [r for r in rows if r.winner == "oct"]
-
-
-def literature_wins(rows: Iterable[ComparisonRow]) -> list[ComparisonRow]:
-    return [r for r in rows if r.literature_beats_both]
-
-
 def delta_vs_reference(values: Mapping[int, int]) -> list[tuple[int, int, int, int]]:
     """Rows (n, produced, reference, produced - reference) for every n the
     bundled hexagonal greedy reference covers."""

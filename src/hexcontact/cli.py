@@ -136,6 +136,8 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be 0 or more, got {lo}")
     if lo > hi:
         raise ValueError(f"--n range {lo}..{hi} is empty")
+    if hi > window.point_count:
+        raise ValueError(f"cannot place {hi} balls on {window.point_count} window points")
     if window.point_count > args.cap_points:
         print(
             f"window has {window.point_count} points, above the cap of {args.cap_points}; "
@@ -196,10 +198,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     path = os.path.join(out, "comparison.csv")
     bounds.write_comparison_csv(path, rows)
     print(bounds.render_comparison(rows))
-    octs = bounds.oct_wins(rows)
-    lits = bounds.literature_wins(rows)
-    print(f"octahedral better at n = {sorted(r.n for r in octs)}")
-    print(f"literature beats both at n = {sorted(r.n for r in lits)}")
+    print(f"octahedral better at n = {[r.n for r in rows if r.winner == 'oct']}")
+    print(f"literature beats both at n = {[r.n for r in rows if r.literature_beats_both]}")
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -298,6 +298,9 @@ def read_jsonl(source: str | IO[str]) -> Configuration:
         lattice = parse_descriptor(header["lattice"])
     except ValueError as exc:
         raise ValueError(f"line 1: {exc}") from None
+    provenance = header.get("provenance", "")
+    if not isinstance(provenance, str):
+        raise ValueError(f"line 1: provenance must be a string, got {provenance!r}")
     n = header["n"]
     if type(n) is not int or n < 0:
         raise ValueError(f"line 1: bad ball count {n!r}")
@@ -315,4 +318,4 @@ def read_jsonl(source: str | IO[str]) -> Configuration:
             if not (type(i) is type(j) is type(k) is int):  # JSON integers only: no bool, float or str
                 raise ValueError(f"line {lineno}: ball record needs integer i, j, k")
             balls.append((i, j, k))
-    return Configuration(lattice, tuple(balls), str(header.get("provenance", "")))
+    return Configuration(lattice, tuple(balls), provenance)

@@ -26,6 +26,12 @@ the contact and search code read it off their attributes alone:
 
 Contact decisions are therefore exact.  Floating point enters only in
 ``cartesian(p)``, the center of a grid point, used for export and plotting.
+
+Besides the two classes, :data:`OCT` and the type aliases ``Point`` and
+``Lattice``, the module offers :class:`EpsilonSeq`, :func:`enumerate_grids`,
+which lists the grids of a layer range, :func:`parse_descriptor` and
+:func:`scaled_sq_dist`, the metric of one point pair.  Everything else in it
+is private.
 """
 
 from __future__ import annotations
@@ -37,21 +43,10 @@ from functools import cache, cached_property
 
 Point = tuple[int, int, int]
 
-SQRT3 = math.sqrt(3.0)
-SQRT1_3 = math.sqrt(1.0 / 3.0)
-SQRT8_3 = math.sqrt(8.0 / 3.0)
-SQRT2 = math.sqrt(2.0)
+_SQRT3 = math.sqrt(3.0)
+_SQRT8_3 = math.sqrt(8.0 / 3.0)
+_SQRT2 = math.sqrt(2.0)
 
-# Generators of the planar hexagonal layer and the two layer-step vectors.
-PLANAR_I = (2.0, 0.0, 0.0)
-PLANAR_J = (1.0, SQRT3, 0.0)
-STEP_UP_PLUS = (1.0, SQRT1_3, SQRT8_3)    # vertical + horizontal
-STEP_UP_MINUS = (-1.0, -SQRT1_3, SQRT8_3)  # vertical - horizontal
-
-# Generators of the octahedral lattice.
-OCT_GEN_X = (2.0, 0.0, 0.0)
-OCT_GEN_Y = (0.0, 2.0, 0.0)
-OCT_GEN_Z = (1.0, 1.0, SQRT2)
 
 @dataclass(frozen=True)
 class EpsilonSeq:
@@ -105,52 +100,46 @@ class EpsilonSeq:
             raise ValueError(f"layer {k} outside {self.t1}..{self.t2}")
         return self.prefix_sums[k - self.t1]
 
-    def flipped(self) -> "EpsilonSeq":
-        """The sequence with every sign negated (the mirror grid)."""
-        return EpsilonSeq(self.t1, self.t2, tuple(-v for v in self.signs))
 
-    @property
-    def layers(self) -> range:
-        return range(self.t1, self.t2 + 1)
+def _orientation(seq: EpsilonSeq) -> int:
+    """Mirror orientation of a grid: the first nonzero sign scanning 1, -1, 2, -2, ...
 
-
-def grid_id(seq: EpsilonSeq) -> int:
-    """Injective integer id of a sequence: one bit per nonzero layer, 1 for +1.
-
-    Bit b corresponds to the b-th nonzero layer counted upward from t1, so
-    two sequences over the same layer range share an id only if equal.
+    A grid and its flipped twin get opposite orientations, which lets
+    orientation-adjusted tie-breaking make mirrored searches take mirrored
+    steps (the basis for representing each mirror pair by one grid).
     """
-    return sum(1 << b for b, v in enumerate(seq.signs) if v == 1)
-
-
-def seq_from_grid_id(t1: int, t2: int, gid: int) -> EpsilonSeq:
-    """Inverse of :func:`grid_id` for the given layer range."""
-    n = t2 - t1
-    if not 0 <= gid < (1 << n):
-        raise ValueError(f"grid id {gid} out of range for {n} nonzero layers")
-    return EpsilonSeq(t1, t2, tuple(1 if gid >> b & 1 else -1 for b in range(n)))
+    if seq.t2 >= 1:
+        return seq.eps(1)
+    if seq.t1 <= -1:
+        return seq.eps(-1)
+    return 1
 
 
 def enumerate_grids(t1: int, t2: int, normalize: bool = True) -> list[EpsilonSeq]:
     """All sign assignments over layers t1..t2, ordered by grid id.
 
-    With ``normalize`` only sequences of :func:`orientation` +1 are kept;
+    The grid id has one bit per nonzero layer, counted upward from t1, set
+    for a +1 sign; with ``normalize=False`` the list index is the grid id.
+    With ``normalize`` only the grids of mirror orientation +1 are kept;
     mirror grids are then represented once, halving the count whenever
     there is a layer besides 0.  Raises ValueError when t1 > t2.
     """
     if t1 > t2:
         raise ValueError(f"empty layer range {t1}..{t2}")
-    seqs = (seq_from_grid_id(t1, t2, gid) for gid in range(1 << (t2 - t1)))
-    return [seq for seq in seqs if not normalize or orientation(seq) == 1]
+    n = t2 - t1
+    seqs = (
+        EpsilonSeq(t1, t2, tuple(1 if gid >> b & 1 else -1 for b in range(n))) for gid in range(1 << n)
+    )
+    return [seq for seq in seqs if not normalize or _orientation(seq) == 1]
 
 
 # Horizontal neighbor offsets within one hexagonal layer.
-IN_LAYER_OFFSETS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
+_IN_LAYER_OFFSETS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
 
 # Horizontal neighbor offsets across one layer step, keyed by the step's
 # shift change ds (+1 or -1).  Derived from the scaled metric: these are the
 # only integer (di, dj) whose lifted difference has 3*du^2 + dv^2 = 4.
-STEP_OFFSETS = {
+_STEP_OFFSETS = {
     1: ((-1, 0), (0, -1), (0, 0)),
     -1: ((0, 0), (0, 1), (1, 0)),
 }
@@ -162,14 +151,14 @@ def _layer_offsets(down: int, up: int) -> tuple[Point, ...]:
     di, dj), whose steps down and up change the shift by ``down`` and ``up``:
     +1, -1, or 0 where the layer range ends.  9 shapes in all."""
     return (
-        *((di, dj, -1) for di, dj in STEP_OFFSETS.get(down, ())),
-        *((di, dj, 0) for di, dj in IN_LAYER_OFFSETS),
-        *((di, dj, 1) for di, dj in STEP_OFFSETS.get(up, ())),
+        *((di, dj, -1) for di, dj in _STEP_OFFSETS.get(down, ())),
+        *((di, dj, 0) for di, dj in _IN_LAYER_OFFSETS),
+        *((di, dj, 1) for di, dj in _STEP_OFFSETS.get(up, ())),
     )
 
 
 # The twelve octahedral neighbor offsets, sorted by (dz, dx, dy).
-OCT_OFFSETS = (
+_OCT_OFFSETS = (
     (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1),
     (-1, 0, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0),
     (-1, -1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1),
@@ -194,13 +183,14 @@ class Hexagonal:
 
     @property
     def gid(self) -> int:
-        """The grid id, the sweep's tie-break."""
-        return grid_id(self.seq)
+        """The grid id, the sweep's tie-break: one bit per nonzero layer,
+        counted upward from t1, set for a +1 sign."""
+        return sum(1 << b for b, v in enumerate(self.seq.signs) if v == 1)
 
     @property
     def sign(self) -> int:
         """The mirror orientation of the grid."""
-        return orientation(self.seq)
+        return _orientation(self.seq)
 
     @property
     def descriptor(self) -> str:
@@ -241,7 +231,7 @@ class Hexagonal:
     def cartesian(self, p: Point) -> tuple[float, float, float]:
         """The center of the grid point ``p``, read off its lift."""
         u, v, w = self.lift(p)
-        return (float(u), v / SQRT3, SQRT8_3 * w)
+        return (float(u), v / _SQRT3, _SQRT8_3 * w)
 
 
 @dataclass(frozen=True)
@@ -258,7 +248,7 @@ class Octahedral:
 
     def offsets(self, k: int) -> tuple[Point, ...]:
         """The twelve neighbor offsets, the same from every layer."""
-        return OCT_OFFSETS
+        return _OCT_OFFSETS
 
     def steps(self, k0: int, k1: int) -> tuple[int, ...]:
         """The change of the lifted u of (0, 0, k) at each layer step from
@@ -273,7 +263,7 @@ class Octahedral:
     def cartesian(self, p: Point) -> tuple[float, float, float]:
         """The center of the grid point ``p``, read off its lift."""
         u, v, w = self.lift(p)
-        return (float(u), float(v), SQRT2 * w)
+        return (float(u), float(v), _SQRT2 * w)
 
 
 Lattice = Hexagonal | Octahedral
@@ -314,34 +304,3 @@ def scaled_sq_dist(lattice: Lattice, p: Point, q: Point) -> int:
     cu, cw = lattice.form
     du, dv, dw = u - x, v - y, w - z
     return cu * du * du + dv * dv + cw * dw * dw
-
-
-def is_contact(lattice: Lattice, p: Point, q: Point) -> bool:
-    """True when the unit balls centered at ``p`` and ``q`` touch."""
-    if p == q:
-        raise ValueError(f"contact undefined for a ball and itself: {p}")
-    return scaled_sq_dist(lattice, p, q) == lattice.contact
-
-
-def neighbors(lattice: Lattice, p: Point) -> list[Point]:
-    """All lattice points in contact with ``p``, ordered by coordinate offset.
-
-    Interior points have exactly 12 neighbors; hexagonal points in the top or
-    bottom layer lose the 3 neighbors of the missing adjacent layer.
-    """
-    a, b, k = p
-    return [(a + da, b + db, k + dk) for da, db, dk in lattice.offsets(k)]
-
-
-def orientation(seq: EpsilonSeq) -> int:
-    """Mirror orientation of a grid: the first nonzero sign scanning 1, -1, 2, -2, ...
-
-    A grid and its flipped twin get opposite orientations, which lets
-    orientation-adjusted tie-breaking make mirrored searches take mirrored
-    steps (the basis for representing each mirror pair by one grid).
-    """
-    if seq.t2 >= 1:
-        return seq.eps(1)
-    if seq.t1 <= -1:
-        return seq.eps(-1)
-    return 1

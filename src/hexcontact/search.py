@@ -63,13 +63,13 @@ class SeededRandom:
 
 @dataclass(frozen=True)
 class GreedyParams:
-    """Complete description of one greedy run.  With no ``tie_rule`` the
-    smallest orientation-adjusted (k, i, j) among tied candidates wins."""
+    """Complete description of one greedy run, which starts at the origin.
+    With no ``tie_rule`` the smallest orientation-adjusted (k, i, j) among
+    tied candidates wins."""
 
     lattice: Lattice
     n_max: int
     tie_rule: SeededRandom | None = None
-    start: Point = (0, 0, 0)
     horizontal_bound: int = 0
 
     def __post_init__(self) -> None:
@@ -77,13 +77,6 @@ class GreedyParams:
             raise ValueError("n_max must be at least 1")
         if self.horizontal_bound < 0:
             raise ValueError("horizontal_bound must be 0 (unbounded) or positive")
-        t1, t2 = self.lattice.layers
-        if not t1 <= self.start[2] <= t2:
-            raise ValueError(f"start layer {self.start[2]} outside {t1}..{t2}")
-        if self.horizontal_bound and (
-            abs(self.start[0]) > self.horizontal_bound or abs(self.start[1]) > self.horizontal_bound
-        ):
-            raise ValueError("start violates horizontal bound")
 
 
 @cache
@@ -138,18 +131,18 @@ class _Branch:
 
     Points are stored as packed keys: the point with orientation-adjusted
     coordinates (k, s*i, s*j) is the integer ``((k + base) * stride + s*i +
-    base) * stride + s*j + base``, with ``stride = 2 * base + 1`` and
-    ``base`` the largest start coordinate in absolute value plus ``n_max -
-    1``.  Only the first ``n_max - 1`` balls are ever absorbed, and each
-    neighbor offset moves each coordinate by at most 1, so no stored point
-    has a coordinate further than ``n_max - 1`` from the start's.  Every
-    digit therefore lies in 0..stride-1, the key is a non-negative mixed-radix
-    number, and integer order is tuple order: the lexicographic tie rule is
-    plain integer order, and a neighbor is the key plus a fixed delta.
+    base) * stride + s*j + base``, with ``base = n_max - 1`` and ``stride =
+    2 * base + 1``.  The run starts at the origin, only the first ``n_max -
+    1`` balls are ever absorbed, and each neighbor offset moves each
+    coordinate by at most 1, so no stored point has a coordinate beyond
+    ``n_max - 1`` in absolute value.  Every digit therefore lies in
+    0..stride-1, the key is a non-negative mixed-radix number, and integer
+    order is tuple order: the lexicographic tie rule is plain integer order,
+    and a neighbor is the key plus a fixed delta.
 
     ``counts`` maps each frontier key to the number of placed balls it
     touches and each placed key to -1; ``buckets[c]`` holds the frontier keys
-    touching c balls; the start is a frontier key touching 0 balls until it
+    touching c balls; the origin is a frontier key touching 0 balls until it
     is placed.  Every placed ball but a finished run's last is absorbed into
     the frontier.  ``layers`` maps ``key // stride**2``, the layer plus
     ``base``, to the key deltas of every layer reached so far on which all
@@ -170,14 +163,12 @@ class _Branch:
 
     @classmethod
     def start(
-        cls, grids: list[_Grid], rng: random.Random | None, point: Point, n_max: int,
-        keyed: _Keyed | None = None,
+        cls, grids: list[_Grid], rng: random.Random | None, n_max: int, keyed: _Keyed | None = None
     ) -> "_Branch":
-        """A run of up to ``n_max`` balls whose first ball is ``point``."""
-        base = max(map(abs, point)) + n_max - 1
+        """A run of up to ``n_max`` balls whose first ball is the origin."""
+        base = n_max - 1
         stride = 2 * base + 1
-        s = grids[0].sign
-        key = ((point[2] + base) * stride + s * point[0] + base) * stride + s * point[1] + base
+        key = (base * stride + base) * stride + base
         buckets = [{key}, *(set() for _ in range(12))]
         return cls(grids, rng, base, stride, {key: 0}, buckets, [], [0], {}, {} if keyed is None else keyed)
 
@@ -362,7 +353,7 @@ def greedy(params: GreedyParams) -> Configuration:
     """Run the greedy algorithm described by ``params``."""
     seed = None if params.tie_rule is None else params.tie_rule.seed
     rng = None if seed is None else random.Random(seed)
-    start = _Branch.start([_Grid(0, params.lattice)], rng, params.start, params.n_max)
+    start = _Branch.start([_Grid(0, params.lattice)], rng, params.n_max)
     (run,) = _walk(start, params.n_max, params.horizontal_bound)
     return Configuration(params.lattice, tuple(_balls(_packed(run))), _provenance(params.lattice, seed))
 
@@ -402,7 +393,7 @@ def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int, _Keyed]) -> list
     rng = None if restart == 0 else random.Random(base_seed + restart)
     best = [-1] * (n_max + 1)  # best[n]: the contacts of winners[n]
     winners: list[_Winner | None] = [None] * (n_max + 1)
-    for run in _walk(_Branch.start(grids, rng, (0, 0, 0), n_max, keyed), n_max, bound):
+    for run in _walk(_Branch.start(grids, rng, n_max, keyed), n_max, bound):
         rep = min(run.grids, key=lambda g: (g.gid, g.index))
         rank = (rep.gid, restart, rep.index)
         curve = run.curve
@@ -432,7 +423,7 @@ def greedy_sweep(
     restarts: int = 0,
     base_seed: int = 0,
     horizontal_bound: int = 0,
-    workers: int | None = 1,
+    workers: int = 1,
 ) -> list[SweepRecord]:
     """Best greedy result per configuration size over grids and restarts.
 
@@ -442,7 +433,7 @@ def greedy_sweep(
     the prefix property.  Winners are reduced by contacts descending, then grid
     id ascending, then restart index ascending, independent of execution
     order, so results are reproducible with any worker count.  ``workers``
-    None or 0 means one worker per core.
+    0 means one worker per core.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -452,7 +443,7 @@ def greedy_sweep(
         raise ValueError("restarts must be 0 or positive")
     if horizontal_bound < 0:
         raise ValueError("horizontal_bound must be 0 (unbounded) or positive")
-    if workers is not None and workers < 0:
+    if workers < 0:
         raise ValueError("workers must be 0 (all cores) or positive")
     subtrees = _subtrees([_Grid(index, g) for index, g in enumerate(grids)])
     keyed: _Keyed = {}
@@ -461,7 +452,7 @@ def greedy_sweep(
         for r in range(restarts + 1)
         for sub in subtrees
     ]
-    if not workers:
+    if workers == 0:
         import os
 
         workers = os.cpu_count() or 1

@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from reference import incremental_delta, reflect_configuration
+from reference import incremental_delta, is_contact, neighbors, reflect_configuration
 
 from hexcontact.bounds import (
     KNOWN_CONTACTS,
@@ -27,10 +27,7 @@ from hexcontact.lattice import (
     OCT,
     Hexagonal,
     enumerate_grids,
-    is_contact,
-    neighbors,
     scaled_sq_dist,
-    seq_from_grid_id,
 )
 from hexcontact.search import (
     GreedyParams,
@@ -43,6 +40,7 @@ from hexcontact.search import (
 )
 
 NINE_LAYER_GRIDS = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=True)]
+NINE_LAYER_SEQS = enumerate_grids(-4, 4, normalize=False)  # indexed by grid id
 RESTARTS = 200
 BASE_SEED = 0
 
@@ -92,7 +90,7 @@ def test_criterion_2_exact_metric():
     rng = random.Random(77)
     pairs = 10_000
     for _ in range(pairs):
-        seq = seq_from_grid_id(-4, 4, rng.randrange(256))
+        seq = NINE_LAYER_SEQS[rng.randrange(256)]
         lattice = Hexagonal(seq)
         p = (rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(-4, 4))
         q = (rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(-4, 4))
@@ -226,7 +224,7 @@ def test_criterion_7_property_suite():
         if trial % 4 == 0:
             lattice = OCT
         else:
-            lattice = Hexagonal(seq_from_grid_id(-4, 4, rng.randrange(256)))
+            lattice = Hexagonal(NINE_LAYER_SEQS[rng.randrange(256)])
         cfg = grow_random_config(rng, lattice, rng.randint(1, 40))
         total = 0
         for m in range(len(cfg)):
@@ -235,14 +233,14 @@ def test_criterion_7_property_suite():
 
     # greedy prefix property
     for tie_rule in (None, SeededRandom(41)):
-        lattice = Hexagonal(seq_from_grid_id(-4, 4, 146))
+        lattice = Hexagonal(NINE_LAYER_SEQS[146])
         long = greedy(GreedyParams(lattice, 60, tie_rule))
         for n in (1, 13, 37, 60):
             assert greedy(GreedyParams(lattice, n, tie_rule)).balls == long.balls[:n]
 
     # reflection isometry of contact counts
     for _ in range(50):
-        lattice = Hexagonal(seq_from_grid_id(-4, 4, rng.randrange(256)))
+        lattice = Hexagonal(NINE_LAYER_SEQS[rng.randrange(256)])
         cfg = grow_random_config(rng, lattice, 25)
         assert verify(reflect_configuration(cfg)).contacts == verify(cfg).contacts
 
@@ -257,7 +255,7 @@ def test_criterion_7_property_suite():
     # 3x3x3 window for every n <= 6
     window = Window((-1, 1), (-1, 1), (-1, 1))
     for gid in (0, 1, 2, 3):
-        lattice = Hexagonal(seq_from_grid_id(-1, 1, gid))
+        lattice = Hexagonal(enumerate_grids(-1, 1, normalize=False)[gid])
         pts = window.points()
         threshold = lattice.contact
         adj = [0] * len(pts)

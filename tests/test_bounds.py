@@ -9,8 +9,6 @@ from hexcontact.bounds import (
     compare_tables,
     delta_vs_reference,
     literature_best,
-    literature_wins,
-    oct_wins,
     octahedral_bound,
     render_comparison,
     render_decade_table,
@@ -177,13 +175,11 @@ class TestCompareTables:
             [rec(14, 40), rec(15, 44), rec(16, 48)],
         )
         assert [r.winner for r in rows] == ["oct", "oct", "tie"]
-        assert [r.n for r in oct_wins(rows)] == [14, 15]
 
     def test_literature_flag(self):
         rows = compare_tables([rec(6, 11)], [rec(6, 10)])
         assert rows[0].literature == 12
         assert rows[0].literature_beats_both
-        assert [r.n for r in literature_wins(rows)] == [6]
 
     def test_no_flag_when_sweep_matches_literature(self):
         rows = compare_tables([rec(6, 12)], [rec(6, 10)])

@@ -157,6 +157,17 @@ class TestExhaustive:
         assert code == 2
         assert stderr == "error: --n must be 0 or more, got -1\n"
 
+    @pytest.mark.parametrize("window, sizes, message", [
+        ("0..0,0..0,0..0", "2", "cannot place 2 balls on 1 window points"),
+        ("-1..1,-1..1,-1..1", "0..28", "cannot place 28 balls on 27 window points"),
+    ])
+    def test_more_balls_than_points_exit_2_before_any_output(self, window, sizes, message, tmp_path, capsys):
+        code, stdout, stderr = run(
+            ["exhaustive", "--window", window, "--n", sizes, "--out", str(tmp_path)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_window_cap_refused(self, tmp_path, capsys):
         code, _, stderr = run(
             ["exhaustive", "--window", "-5..5,-5..5,-1..1", "--n", "4",
@@ -286,6 +297,18 @@ class TestVerifyCommand:
         assert stderr.startswith(f"{path}: line 1: lattice must be a descriptor string")
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    @pytest.mark.parametrize("provenance", [None, 5, ["x"]], ids=["null", "int", "list"])
+    def test_non_string_provenance_exit_2(self, command, provenance, tmp_path, capsys):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"lattice": "oct", "n": 0, "provenance": provenance}) + "\n")
+        extra = ["--format", "jsonl", "--out", str(tmp_path / "out")] if command == "export" else []
+        code, _, stderr = run([command, path, *extra], capsys)
+        assert code == 2
+        assert stderr.startswith(f"{path}: line 1: provenance must be a string")
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestCompareCommand:
     @pytest.fixture()
@@ -301,8 +324,13 @@ class TestCompareCommand:
             ["compare", os.path.join(out, "sweep_hex.csv"),
              os.path.join(out, "sweep_oct.csv"), "--out", out], capsys)
         assert code == 0
-        assert "octahedral better at n" in stdout
-        assert os.path.exists(os.path.join(out, "comparison.csv"))
+        with open(os.path.join(out, "comparison.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        octs = [int(r["n"]) for r in rows if r["winner"] == "oct"]
+        lits = [int(r["n"]) for r in rows if r["literature_beats_both"] == "1"]
+        lines = stdout.splitlines()
+        assert f"octahedral better at n = {octs}" in lines
+        assert f"literature beats both at n = {lits}" in lines
 
     def test_compare_rejects_mismatched_ranges(self, tmp_path, capsys):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

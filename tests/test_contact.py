@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import incremental_delta, reflect_configuration
+from reference import incremental_delta, neighbors, reflect_configuration
 
 from hexcontact import cli
 from hexcontact.contact import (
@@ -26,14 +26,15 @@ from hexcontact.lattice import (
     Hexagonal,
     Octahedral,
     enumerate_grids,
-    neighbors,
     parse_descriptor,
     scaled_sq_dist,
-    seq_from_grid_id,
 )
 from hexcontact.search import Window, exhaustive_column, greedy_sweep
 
 UP_GRID = Hexagonal(EpsilonSeq(-4, 4, (1,) * 8))
+# the grids of layers -3..3 and -4..4, indexed by grid id
+SEVEN_LAYER_SEQS = enumerate_grids(-3, 3, normalize=False)
+NINE_LAYER_SEQS = enumerate_grids(-4, 4, normalize=False)
 
 # Mutually touching four-ball cluster in any grid with a +1 first upward sign,
 # checked pair by pair against the integer metric.
@@ -63,7 +64,7 @@ def grown_configs(draw):
     if draw(st.booleans()):
         lattice, layers = OCT, st.integers(-3, 3)
     else:
-        seq = seq_from_grid_id(-3, 3, draw(st.integers(0, 63)))
+        seq = SEVEN_LAYER_SEQS[draw(st.integers(0, 63))]
         lattice, layers = Hexagonal(seq), st.integers(seq.t1, seq.t2)
     balls = []
     for _ in range(draw(st.integers(0, 30))):
@@ -354,7 +355,7 @@ class TestIncrementalDelta:
             if trial % 3 == 0:
                 lattice = OCT
             else:
-                lattice = Hexagonal(seq_from_grid_id(-3, 3, rng.randrange(64)))
+                lattice = Hexagonal(SEVEN_LAYER_SEQS[rng.randrange(64)])
             cfg = random_grown_config(rng, lattice, rng.randint(2, 40))
             total = 0
             for n in range(len(cfg)):
@@ -365,7 +366,7 @@ class TestIncrementalDelta:
 def test_reflection_preserves_contact_count():
     rng = random.Random(9)
     for _ in range(25):
-        lattice = Hexagonal(seq_from_grid_id(-3, 3, rng.randrange(64)))
+        lattice = Hexagonal(SEVEN_LAYER_SEQS[rng.randrange(64)])
         cfg = random_grown_config(rng, lattice, 20)
         assert verify(reflect_configuration(cfg)).contacts == verify(cfg).contacts
 
@@ -399,11 +400,16 @@ class TestJsonl:
             '{"lattice": "nope", "n": 0}\n',
             '{"lattice": "oct", "n": 2}\n{"index":0,"i":0,"j":0,"k":0}\n',
             '{"lattice": "oct", "n": 1}\n{"index":0,"i":0,"j":0}\n',
+            '{"lattice": "oct", "n": 0, "provenance": null}\n',
+            '{"lattice": "oct", "n": 0, "provenance": 7}\n',
         ],
     )
     def test_malformed_input(self, content):
         with pytest.raises(ValueError, match="line"):
             read_jsonl(io.StringIO(content))
+
+    def test_missing_provenance_reads_empty(self):
+        assert read_jsonl(io.StringIO('{"lattice": "oct", "n": 0}\n')).provenance == ""
 
     def test_integer_coordinates_are_authoritative(self):
         cfg = Configuration(UP_GRID, TETRA)
@@ -535,7 +541,7 @@ class TestJsonlFormatter:
             lattice, layers = OCT, st.integers(-6, 6)
         else:
             t1, t2 = data.draw(st.integers(-4, 0)), data.draw(st.integers(0, 4))
-            seq = seq_from_grid_id(t1, t2, data.draw(st.integers(0, (1 << (t2 - t1)) - 1)))
+            seq = enumerate_grids(t1, t2, normalize=False)[data.draw(st.integers(0, (1 << (t2 - t1)) - 1))]
             lattice, layers = Hexagonal(seq), st.integers(t1, t2)
         coordinate = st.integers(-1000, 1000)
         balls = data.draw(st.lists(st.tuples(coordinate, coordinate, layers), max_size=12, unique=True))
@@ -573,6 +579,9 @@ def reference_read_jsonl(source):
         lattice = parse_descriptor(header["lattice"])
     except ValueError as exc:
         raise ValueError(f"line 1: {exc}") from None
+    provenance = header.get("provenance", "")
+    if not isinstance(provenance, str):
+        raise ValueError(f"line 1: provenance must be a string, got {provenance!r}")
     n = header["n"]
     if type(n) is not int or n < 0:
         raise ValueError(f"line 1: bad ball count {n!r}")
@@ -585,7 +594,7 @@ def reference_read_jsonl(source):
         if not (type(i) is type(j) is type(k) is int):
             raise ValueError(f"line {lineno}: ball record needs integer i, j, k")
         balls.append((i, j, k))
-    return Configuration(lattice, tuple(balls), str(header.get("provenance", "")))
+    return Configuration(lattice, tuple(balls), provenance)
 
 
 def outcome(read, text, newline="\n"):
@@ -706,7 +715,7 @@ class TestJsonlReader:
         if data.draw(st.booleans()):
             lattice, layers = OCT, coordinate
         else:
-            lattice, layers = Hexagonal(seq_from_grid_id(-4, 4, data.draw(st.integers(0, 255)))), st.integers(-4, 4)
+            lattice, layers = Hexagonal(NINE_LAYER_SEQS[data.draw(st.integers(0, 255))]), st.integers(-4, 4)
         balls = data.draw(st.lists(st.tuples(coordinate, coordinate, layers), max_size=6, unique=True))
         config = Configuration(lattice, tuple(balls), data.draw(st.text(max_size=4)))
         assert read_counting_loads(io.StringIO(written(config))) == (config, 1)

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from reference import incremental_delta
+from reference import incremental_delta, neighbors
 
 from hexcontact.bounds import KNOWN_CONTACTS, VERIFIED_CONTACTS, Status
 from hexcontact.contact import Configuration, verify
@@ -11,10 +11,7 @@ from hexcontact.lattice import (
     EpsilonSeq,
     Hexagonal,
     enumerate_grids,
-    grid_id,
-    neighbors,
     scaled_sq_dist,
-    seq_from_grid_id,
 )
 from hexcontact.search import (
     FrontierExhaustedError,
@@ -31,6 +28,7 @@ from hexcontact.search import (
 )
 
 NINE_LAYERS = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=True)]
+ALL_NINE_LAYERS = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=False)]
 UP_GRID = Hexagonal(EpsilonSeq(-4, 4, (1,) * 8))
 
 
@@ -46,7 +44,7 @@ class TestGreedy:
 
     @pytest.mark.parametrize("tie_rule", [None, SeededRandom(1), SeededRandom(2)])
     def test_prefix_property(self, tie_rule):
-        lattice = Hexagonal(seq_from_grid_id(-4, 4, 77))
+        lattice = ALL_NINE_LAYERS[77]
         long = greedy(GreedyParams(lattice, 40, tie_rule))
         for n in (1, 7, 23, 40):
             short = greedy(GreedyParams(lattice, n, tie_rule))
@@ -54,7 +52,7 @@ class TestGreedy:
 
     @pytest.mark.parametrize("tie_rule", [None, SeededRandom(3)])
     def test_every_step_takes_a_frontier_maximum(self, tie_rule):
-        lattice = Hexagonal(seq_from_grid_id(-4, 4, 19))
+        lattice = ALL_NINE_LAYERS[19]
         cfg = greedy(GreedyParams(lattice, 25, tie_rule))
         for step in range(1, 25):
             placed = Configuration(lattice, cfg.balls[:step])
@@ -78,10 +76,6 @@ class TestGreedy:
         cfg = greedy(GreedyParams(UP_GRID, 40, horizontal_bound=2))
         assert all(abs(i) <= 2 and abs(j) <= 2 for i, j, _ in cfg.balls)
 
-    def test_start_must_lie_in_layers(self):
-        with pytest.raises(ValueError):
-            GreedyParams(Hexagonal(EpsilonSeq(0, 1, (1,))), 5, start=(0, 0, 3))
-
     def test_n_max_validated(self):
         with pytest.raises(ValueError):
             GreedyParams(OCT, 0)
@@ -104,7 +98,7 @@ class TestGreedySweep:
         records = greedy_sweep(1, NINE_LAYERS, restarts=3)
         # every run scores 0 at n=1, so the lowest grid id and restart 0 win
         assert records[0].best_contacts == 0
-        assert records[0].best_grid_id == grid_id(NINE_LAYERS[0].seq)
+        assert records[0].best_grid_id == NINE_LAYERS[0].gid
         assert records[0].restarts_used == 0
 
     def test_reduction_independent_of_grid_order(self):
@@ -134,6 +128,10 @@ class TestGreedySweep:
         serial = greedy_sweep(8, NINE_LAYERS[:6], restarts=1)
         parallel = greedy_sweep(8, NINE_LAYERS[:6], restarts=1, workers=2)
         assert serial == parallel
+
+    def test_workers_none_rejected(self):
+        with pytest.raises(TypeError):
+            greedy_sweep(3, [OCT], workers=None)
 
 
 def brute_force(lattice, window, n):
@@ -271,7 +269,7 @@ class TestExhaustive:
     @pytest.mark.parametrize("gid", [0, 3])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pruned_equals_unpruned(self, gid, n):
-        lattice = Hexagonal(seq_from_grid_id(-1, 1, gid))
+        lattice = Hexagonal(enumerate_grids(-1, 1, normalize=False)[gid])
         value, _, _ = exhaustive(lattice, WINDOW_333, n)
         assert value == brute_force(lattice, WINDOW_333, n)[0]
 

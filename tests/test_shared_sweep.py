@@ -13,7 +13,7 @@ import pytest
 
 from hexcontact import search
 from hexcontact.contact import Configuration
-from hexcontact.lattice import OCT, Hexagonal, enumerate_grids, parse_descriptor
+from hexcontact.lattice import OCT, EpsilonSeq, Hexagonal, enumerate_grids, parse_descriptor
 from hexcontact.search import (
     FrontierExhaustedError,
     GreedyParams,
@@ -24,14 +24,15 @@ from hexcontact.search import (
 )
 
 
-def reference_run(lattice, n_max, rng, start=(0, 0, 0), bound=0):
-    """One greedy run: the placed balls and ``curve[m]``, the contacts of the
-    first m balls."""
+def reference_run(lattice, n_max, rng, bound=0):
+    """One greedy run from the origin: the placed balls and ``curve[m]``, the
+    contacts of the first m balls."""
     offsets, sign = functools.cache(lattice.offsets), lattice.sign
 
     def tie_key(p):
         return (p[2], sign * p[0], sign * p[1])
 
+    start = (0, 0, 0)
     chosen = [start]
     chosen_set = {start}
     cand = {}
@@ -100,7 +101,7 @@ def shared_runs(lattices, n_max, restart, base_seed=0, bound=0):
     """(balls, curve) per input index, read off the shared walk."""
     out = {}
     for sub in search._subtrees([search._Grid(i, g) for i, g in enumerate(lattices)]):
-        start = search._Branch.start(sub, restart_rng(restart, base_seed), (0, 0, 0), n_max)
+        start = search._Branch.start(sub, restart_rng(restart, base_seed), n_max)
         for run in search._walk(start, n_max, bound):
             balls = search._balls(search._packed(run))
             for g in run.grids:
@@ -114,7 +115,7 @@ def assert_runs_match(lattices, n_max, restarts, base_seed=0, bound=0):
         shared = shared_runs(lattices, n_max, r, base_seed, bound)
         assert sorted(shared) == list(range(len(lattices)))
         for index, lattice in enumerate(lattices):
-            ref = reference_run(lattice, n_max, restart_rng(r, base_seed), bound=bound)
+            ref = reference_run(lattice, n_max, restart_rng(r, base_seed), bound)
             assert shared[index] == ref, (lattice.descriptor, r)
 
 
@@ -176,13 +177,12 @@ def test_sweep_decodes_only_winning_runs(lattices, restarts, monkeypatch):
 
 
 @pytest.mark.parametrize("tie_rule", [None, 5])
-@pytest.mark.parametrize("start", [(0, 0, 0), (2, -1, 3)])
-def test_greedy_matches_reference(tie_rule, start):
+def test_greedy_matches_reference(tie_rule):
     for lattice in [OCT, NINE_LAYERS[0], NINE_LAYERS[77], ALL_NINE_LAYERS[3]]:
         rule = None if tie_rule is None else SeededRandom(tie_rule)
-        cfg = greedy(GreedyParams(lattice, 70, rule, start=start))
+        cfg = greedy(GreedyParams(lattice, 70, rule))
         rng = None if tie_rule is None else random.Random(tie_rule)
-        assert list(cfg.balls) == reference_run(lattice, 70, rng, start)[0]
+        assert list(cfg.balls) == reference_run(lattice, 70, rng)[0]
         tag = "lex" if tie_rule is None else f"seed={tie_rule}"
         assert cfg.provenance == f"greedy:{tag}:grid={lattice.descriptor}"
 
@@ -196,32 +196,32 @@ def test_exhaustion_matches_reference():
     assert shared.value.placed == ref.value.placed == 81
 
 
-# Starts far from the origin, mirror orientations and edge layers: the packed
-# keys of a run reach their extreme digits when a ball steps outward from
-# the start's largest coordinate, which seeded ties at n_max = 2 do often.
+# Mirror orientations, the origin on an edge layer, and bounds: the packed
+# keys of a run reach their extreme digits when a ball steps n_max - 1 out
+# from the origin, which every step of n_max = 2 does.
 FAR = 10**6
-EDGE_STARTS = [
-    (NINE_LAYERS[77], (FAR, -FAR, 0), 0),
-    (ALL_NINE_LAYERS[3], (FAR, -FAR, 4), 0),
-    (ALL_NINE_LAYERS[3], (-FAR, FAR, -4), 0),
-    (OCT, (0, 0, -FAR), 0),
-    (OCT, (FAR, FAR, FAR), 0),
-    (NINE_LAYERS[0], (3, -3, 0), 3),
-    (ALL_NINE_LAYERS[3], (-3, 3, -4), 3),
-    (OCT, (3, 3, 0), 3),
-    (NINE_LAYERS[77], (FAR, -FAR, 2), FAR),
+EDGE_RUNS = [
+    (NINE_LAYERS[77], 0),
+    (ALL_NINE_LAYERS[3], 0),
+    (OCT, 0),
+    (Hexagonal(EpsilonSeq(0, 0, ())), 0),
+    (Hexagonal(EpsilonSeq(-4, 0, (1, -1, 1, 1))), 0),
+    (Hexagonal(EpsilonSeq(0, 3, (-1, -1, 1))), 0),
+    (NINE_LAYERS[0], 3),
+    (ALL_NINE_LAYERS[3], 3),
+    (OCT, 3),
+    (NINE_LAYERS[77], FAR),
 ]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 200])
-@pytest.mark.parametrize("lattice, start, bound", EDGE_STARTS,
-                         ids=[f"{l.descriptor}@{s}/{b}" for l, s, b in EDGE_STARTS])
-def test_key_packing_edges_match_reference(lattice, start, bound, n_max):
+@pytest.mark.parametrize("lattice, bound", EDGE_RUNS, ids=[f"{l.descriptor}/{b}" for l, b in EDGE_RUNS])
+def test_key_packing_edges_match_reference(lattice, bound, n_max):
     for seed in [None, *range(16 if n_max < 200 else 3)]:
         rule = None if seed is None else SeededRandom(seed)
-        cfg = greedy(GreedyParams(lattice, n_max, rule, start=start, horizontal_bound=bound))
+        cfg = greedy(GreedyParams(lattice, n_max, rule, horizontal_bound=bound))
         rng = None if seed is None else random.Random(seed)
-        assert list(cfg.balls) == reference_run(lattice, n_max, rng, start, bound)[0], seed
+        assert list(cfg.balls) == reference_run(lattice, n_max, rng, bound)[0], seed
 
 
 # A split is deferred: grids that differ only in the offsets into a layer no
@@ -231,7 +231,7 @@ def test_key_packing_edges_match_reference(lattice, start, bound, n_max):
 
 def walk(lattices, n_max, rng=None, bound=0):
     grids = [search._Grid(i, g) for i, g in enumerate(lattices)]
-    return list(search._walk(search._Branch.start(grids, rng, (0, 0, 0), n_max), n_max, bound))
+    return list(search._walk(search._Branch.start(grids, rng, n_max), n_max, bound))
 
 
 def test_split_never_forking_is_one_run():
