@@ -24,9 +24,8 @@ the construction.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .search import SweepRecord
 
@@ -36,8 +35,7 @@ class Status(Enum):
     LOWER_BOUND = "lower_bound"
 
 
-@dataclass(frozen=True)
-class KnownValue:
+class KnownValue(NamedTuple):
     value: int
     status: Status
     source: str
@@ -134,8 +132,7 @@ def literature_best(n: int) -> int | None:
     return max(candidates) if candidates else None
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One line of the hexagonal-versus-octahedral comparison."""
 
     n: int

@@ -139,12 +139,10 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     if hi > window.point_count:
         raise ValueError(f"cannot place {hi} balls on {window.point_count} window points")
     if window.point_count > args.cap_points:
-        print(
+        raise ValueError(
             f"window has {window.point_count} points, above the cap of {args.cap_points}; "
-            "raise --cap-points deliberately if you mean it",
-            file=sys.stderr,
+            "raise --cap-points deliberately if you mean it"
         )
-        return 2
 
     grids = _grid_family(args, k_range=window.k_range)
     reps = unique_window_grids(grids, window)

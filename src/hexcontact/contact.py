@@ -30,10 +30,9 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
-from .lattice import Lattice, Point, parse_descriptor
+from .lattice import Lattice, Point, _Frozen, parse_descriptor
 
 
 class DuplicateBallError(ValueError):
@@ -52,23 +51,27 @@ class LayerOutOfRangeError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Frozen):
     """An ordered set of distinct unit-ball centers on one lattice."""
+
+    __slots__ = ("lattice", "balls", "provenance")
+    _fields = __slots__
 
     lattice: Lattice
     balls: tuple[Point, ...]
-    provenance: str = ""
+    provenance: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "balls", tuple(map(tuple, self.balls)))
+    def __init__(self, lattice: Lattice, balls: Iterable[Point], provenance: str = "") -> None:
+        init = object.__setattr__
+        init(self, "lattice", lattice)
+        init(self, "balls", tuple(map(tuple, balls)))
+        init(self, "provenance", provenance)
 
     def __len__(self) -> int:
         return len(self.balls)
 
 
-@dataclass(frozen=True)
-class ContactReport:
+class ContactReport(NamedTuple):
     """Verification summary of a configuration."""
 
     n: int

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
+from itertools import accumulate
 
 Point = tuple[int, int, int]
 
@@ -48,43 +48,80 @@ _SQRT8_3 = math.sqrt(8.0 / 3.0)
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class EpsilonSeq:
+class _Frozen:
+    """Base of the immutable value classes whose fields are slots.
+
+    ``_fields`` names the fields in constructor order; ``__init__`` sets them
+    through ``object.__setattr__``, and any later assignment raises
+    AttributeError.  Two values are equal, and hash alike, when they have the
+    same type and equal fields; they pickle as a call of their type on the
+    fields.  These are the semantics of a frozen dataclass, without the code
+    generation that costs a dataclass its import time.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class EpsilonSeq(_Frozen):
     """Finite +-1 layer-offset sequence over layers ``t1..t2``.
 
     ``signs[b]`` is the offset sign of the b-th nonzero layer, for layers
     ``t1..t2`` in increasing order with layer 0 skipped.  The sign of layer 0
     is implicitly 0 and never stored.
+
+    ``prefix_sums`` holds the accumulated horizontal shift of every layer,
+    indexed ``k - t1``: the signed number of horizontal steps between layer
+    k and layer 0.  Adjacent layers always differ by exactly 1.
     """
+
+    __slots__ = ("t1", "t2", "signs", "prefix_sums")
+    _fields = ("t1", "t2", "signs")
 
     t1: int
     t2: int
     signs: tuple[int, ...]
+    prefix_sums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.t1 > 0 or self.t2 < 0:
-            raise ValueError(f"layer range must satisfy t1 <= 0 <= t2, got {self.t1}..{self.t2}")
-        if len(self.signs) != self.t2 - self.t1:
-            raise ValueError(
-                f"need {self.t2 - self.t1} signs for layers {self.t1}..{self.t2}, got {len(self.signs)}"
-            )
-        if any(v not in (-1, 1) for v in self.signs):
-            raise ValueError(f"offset signs must be -1 or +1, got {self.signs}")
-
-    @cached_property
-    def prefix_sums(self) -> tuple[int, ...]:
-        """Accumulated horizontal shift of every layer, indexed ``k - t1``.
-
-        The shift of layer k is the signed number of horizontal steps between
-        layer k and layer 0; adjacent layers always differ by exactly 1.
-        """
-        sums = [0] * (self.t2 - self.t1 + 1)
-        zero = -self.t1
-        for k in range(1, self.t2 + 1):
-            sums[zero + k] = sums[zero + k - 1] + self.eps(k)
-        for k in range(-1, self.t1 - 1, -1):
-            sums[zero + k] = sums[zero + k + 1] + self.eps(k)
-        return tuple(sums)
+    def __init__(self, t1: int, t2: int, signs: tuple[int, ...]) -> None:
+        if t1 > 0 or t2 < 0:
+            raise ValueError(f"layer range must satisfy t1 <= 0 <= t2, got {t1}..{t2}")
+        if len(signs) != t2 - t1:
+            raise ValueError(f"need {t2 - t1} signs for layers {t1}..{t2}, got {len(signs)}")
+        if any(v not in (-1, 1) for v in signs):
+            raise ValueError(f"offset signs must be -1 or +1, got {signs}")
+        init = object.__setattr__
+        init(self, "t1", t1)
+        init(self, "t2", t2)
+        init(self, "signs", signs)
+        # The shift of layer k < 0 sums the signs of layers k..-1, that of
+        # layer k > 0 the signs of layers 1..k.
+        below = tuple(accumulate(reversed(signs[:-t1])))
+        init(self, "prefix_sums", (*reversed(below), 0, *accumulate(signs[-t1:])))
 
     def eps(self, k: int) -> int:
         """Offset sign of layer k (0 for the reference layer)."""
@@ -165,9 +202,11 @@ _OCT_OFFSETS = (
 )
 
 
-@dataclass(frozen=True)
-class Hexagonal:
+class Hexagonal(_Frozen):
     """A layered hexagonal grid, identified by its offset sequence."""
+
+    __slots__ = ("seq",)
+    _fields = ("seq",)
 
     seq: EpsilonSeq
 
@@ -175,6 +214,9 @@ class Hexagonal:
     # differences, and its value when two unit balls touch: 3 * 2^2.
     form = (3, 8)
     contact = 12
+
+    def __init__(self, seq: EpsilonSeq) -> None:
+        object.__setattr__(self, "seq", seq)
 
     @property
     def layers(self) -> tuple[int, int]:
@@ -234,9 +276,10 @@ class Hexagonal:
         return (float(u), v / _SQRT3, _SQRT8_3 * w)
 
 
-@dataclass(frozen=True)
-class Octahedral:
+class Octahedral(_Frozen):
     """The (unique, parameter-free) octahedral lattice."""
+
+    __slots__ = ()
 
     # d^2 = du^2 + dv^2 + 2*dw^2, and 2^2 at contact.
     form = (1, 2)

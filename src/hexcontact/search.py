@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .contact import Configuration
 from .lattice import Lattice, Point, parse_descriptor
@@ -54,29 +53,36 @@ class FrontierExhaustedError(RuntimeError):
         self.placed = placed
 
 
-@dataclass(frozen=True)
-class SeededRandom:
+class SeededRandom(NamedTuple):
     """Tie rule: uniform choice among tied candidates, driven by a fixed seed."""
 
     seed: int
 
 
-@dataclass(frozen=True)
-class GreedyParams:
-    """Complete description of one greedy run, which starts at the origin.
-    With no ``tie_rule`` the smallest orientation-adjusted (k, i, j) among
-    tied candidates wins."""
+class _GreedyFields(NamedTuple):
+    """The fields of :class:`GreedyParams`, which checks them."""
 
     lattice: Lattice
     n_max: int
     tie_rule: SeededRandom | None = None
     horizontal_bound: int = 0
 
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
+
+class GreedyParams(_GreedyFields):
+    """Complete description of one greedy run, which starts at the origin.
+    With no ``tie_rule`` the smallest orientation-adjusted (k, i, j) among
+    tied candidates wins."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, lattice: Lattice, n_max: int, tie_rule: SeededRandom | None = None, horizontal_bound: int = 0
+    ) -> "GreedyParams":
+        if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.horizontal_bound < 0:
+        if horizontal_bound < 0:
             raise ValueError("horizontal_bound must be 0 (unbounded) or positive")
+        return super().__new__(cls, lattice, n_max, tie_rule, horizontal_bound)
 
 
 @cache
@@ -125,7 +131,6 @@ class _Part:
 _Keyed = dict[tuple[Point, ...], tuple[int, ...]]
 
 
-@dataclass
 class _Branch:
     """One greedy run, shared by every grid in ``grids``.
 
@@ -150,16 +155,31 @@ class _Branch:
     every run of a sweep, which all have one stride.
     """
 
-    grids: list[_Grid]
-    rng: random.Random | None
-    base: int
-    stride: int
-    counts: dict[int, int]
-    buckets: list[set[int]]
-    placed: list[int]
-    curve: list[int]
-    layers: dict[int, tuple[int, ...]]
-    keyed: _Keyed
+    __slots__ = ("grids", "rng", "base", "stride", "counts", "buckets", "placed", "curve", "layers", "keyed")
+
+    def __init__(
+        self,
+        grids: list[_Grid],
+        rng: random.Random | None,
+        base: int,
+        stride: int,
+        counts: dict[int, int],
+        buckets: list[set[int]],
+        placed: list[int],
+        curve: list[int],
+        layers: dict[int, tuple[int, ...]],
+        keyed: _Keyed,
+    ):
+        self.grids = grids
+        self.rng = rng
+        self.base = base
+        self.stride = stride
+        self.counts = counts
+        self.buckets = buckets
+        self.placed = placed
+        self.curve = curve
+        self.layers = layers
+        self.keyed = keyed
 
     @classmethod
     def start(
@@ -358,8 +378,7 @@ def greedy(params: GreedyParams) -> Configuration:
     return Configuration(params.lattice, tuple(_balls(_packed(run))), _provenance(params.lattice, seed))
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """Best result for one configuration size across a sweep."""
 
     n: int
@@ -483,18 +502,24 @@ def greedy_sweep(
     return [records[n] for n in range(1, n_max + 1)]
 
 
-@dataclass(frozen=True)
-class Window:
-    """Inclusive coordinate box of grid points: i, j and layer ranges."""
+class _WindowFields(NamedTuple):
+    """The fields of :class:`Window`, which checks them."""
 
     i_range: tuple[int, int]
     j_range: tuple[int, int]
     k_range: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        for lo, hi in (self.i_range, self.j_range, self.k_range):
+
+class Window(_WindowFields):
+    """Inclusive coordinate box of grid points: i, j and layer ranges."""
+
+    __slots__ = ()
+
+    def __new__(cls, i_range: tuple[int, int], j_range: tuple[int, int], k_range: tuple[int, int]) -> "Window":
+        for lo, hi in (i_range, j_range, k_range):
             if lo > hi:
                 raise ValueError(f"empty interval {lo}..{hi}")
+        return super().__new__(cls, i_range, j_range, k_range)
 
     @property
     def point_count(self) -> int:

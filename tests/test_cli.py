@@ -169,11 +169,15 @@ class TestExhaustive:
         assert os.listdir(tmp_path) == []
 
     def test_window_cap_refused(self, tmp_path, capsys):
-        code, _, stderr = run(
+        code, stdout, stderr = run(
             ["exhaustive", "--window", "-5..5,-5..5,-1..1", "--n", "4",
              "--out", str(tmp_path)], capsys)
-        assert code == 2
-        assert "cap" in stderr
+        assert code == 2 and stdout == ""
+        assert stderr == (
+            "error: window has 363 points, above the cap of 60; "
+            "raise --cap-points deliberately if you mean it\n"
+        )
+        assert os.listdir(tmp_path) == []
 
     def test_thirteen_balls_need_no_force(self, tmp_path, capsys):
         # 20,058,300 subsets, once refused by a subset-count gate

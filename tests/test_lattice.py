@@ -18,6 +18,7 @@ from reference import (
     neighbors,
 )
 
+from hexcontact.contact import Configuration, verify
 from hexcontact.lattice import (
     OCT,
     EpsilonSeq,
@@ -26,6 +27,7 @@ from hexcontact.lattice import (
     parse_descriptor,
     scaled_sq_dist,
 )
+from hexcontact.search import GreedyParams, Window, exhaustive_column, greedy
 
 
 def seqs(max_span: int = 5):
@@ -367,6 +369,43 @@ def test_uniform_stacking_hits_the_true_lattice():
             x * a + y * b + z * c for a, b, c in zip(PLANAR_I, PLANAR_J, STEP_UP_PLUS)
         )
         assert lat.cartesian((x, y, z)) == pytest.approx(want, abs=1e-9)
+
+
+# The uniform stacking again, as the image of the octahedral lattice under
+# a linear map: the octahedral lattice is the fcc lattice.
+FCC = parse_descriptor("hex:-4..4:00001111")
+
+
+def oct_to_fcc(p):
+    x, y, z = p
+    return (-y, y + z, -x - z)
+
+
+class TestOctahedralIsFcc:
+    def test_map_scales_every_distance_by_three(self):
+        # 3*d^2 on the hexagonal grid, d^2 on the octahedral lattice
+        box = list(itertools.product(range(-2, 3), repeat=3))
+        for p in box:
+            p_image = oct_to_fcc(p)
+            for q in box:
+                assert scaled_sq_dist(FCC, p_image, oct_to_fcc(q)) == 3 * scaled_sq_dist(OCT, p, q)
+
+    @staticmethod
+    def assert_image_verifies_alike(config):
+        image = Configuration(FCC, map(oct_to_fcc, config.balls))
+        report = verify(config)
+        scaled = None if report.min_scaled_dist is None else 3 * report.min_scaled_dist
+        assert verify(image) == report._replace(min_scaled_dist=scaled)
+        return image
+
+    def test_exact_column_images_verify_alike(self):
+        # the octahedral 3x3x3 column, n = 0..27
+        for rec in exhaustive_column(Window((-1, 1), (-1, 1), (-1, 1)), 27, [OCT]):
+            image = self.assert_image_verifies_alike(rec.configuration)
+            assert all(-2 <= k <= 2 for _, _, k in image.balls)
+
+    def test_greedy_image_verifies_alike(self):
+        self.assert_image_verifies_alike(greedy(GreedyParams(OCT, 13)))
 
 
 class TestDescriptor:
