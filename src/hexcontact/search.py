@@ -13,11 +13,12 @@ produce mirror-image runs with identical contact counts, so sweeping only the
 grids of orientation +1 loses nothing.
 
 A run stores each point as one packed integer, its key tuple written as the
-digits of a mixed-radix number.  The radix is wide enough for every
-coordinate a run of the requested size can reach, so integer order is tuple
-order, and both tie rules pick the same point, with the same random draw, as
-they would on the tuples.  A sweep keeps its runs packed, and decodes a run
-to grid coordinates only when it wins some size.
+digits of a mixed-radix number; :class:`_Grid` alone encodes, moves and
+decodes these keys.  The radix is wide enough for every coordinate a run of
+the requested size can reach, so integer order is tuple order, and both tie
+rules pick the same point, with the same random draw, as they would on the
+tuples.  A sweep keeps its runs packed, and decodes a run to grid
+coordinates only when it wins some size.
 
 A run reads its grid only through the neighbor offsets of the layers its
 balls reach, so grids that agree on those make the same run.  A sweep
@@ -85,31 +86,68 @@ class GreedyParams(_GreedyFields):
         return super().__new__(cls, lattice, n_max, tie_rule, horizontal_bound)
 
 
+# Key deltas from one layer, split by layer step: (down, same, up).
+_Deltas = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
 @cache
-def _oriented(offsets: tuple[Point, ...], sign: int) -> tuple[Point, ...]:
-    """Offsets (di, dj, dk) as moves (dk, s*di, s*dj) of a key tuple."""
-    return tuple((dk, sign * di, sign * dj) for di, dj, dk in offsets)
+def _key_deltas(offsets: tuple[Point, ...], sign: int, stride: int) -> _Deltas:
+    """The key deltas of offsets (di, dj, dk), split by dk.  Cached, so grids
+    with equal offsets share one triple."""
+    split: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for di, dj, dk in offsets:
+        split[dk + 1].append((dk * stride + sign * di) * stride + sign * dj)
+    down, same, up = split
+    return tuple(down), tuple(same), tuple(up)
 
 
 class _Grid:
-    """One grid of a greedy run or sweep: its position in the input, its
-    tie-break id, and its neighbor offsets per layer in key coordinates."""
+    """One grid of a greedy run or sweep of up to ``n_max`` balls: its
+    position in the input, its tie-break id, and its packed keys.
 
-    __slots__ = ("index", "lattice", "gid", "sign", "_offsets")
+    The point with orientation-adjusted coordinates (k, s*i, s*j) has the key
+    ``((k + base) * stride + s*i + base) * stride + s*j + base``, with ``base
+    = n_max - 1`` and ``stride = 2 * base + 1``.  A run starts at the origin,
+    only its first ``n_max - 1`` balls are ever absorbed, and each neighbor
+    offset moves each coordinate by at most 1, so no stored point has a
+    coordinate beyond ``base`` in absolute value.  Every digit therefore lies
+    in 0..stride-1, the key is a non-negative mixed-radix number, and integer
+    order is tuple order: the lexicographic tie rule is plain integer order,
+    and a neighbor is the key plus a fixed delta.
+    """
 
-    def __init__(self, index: int, lattice: Lattice):
+    __slots__ = ("index", "lattice", "gid", "sign", "base", "stride", "_deltas")
+
+    def __init__(self, index: int, lattice: Lattice, n_max: int):
         self.index = index
         self.lattice = lattice
         self.gid = lattice.gid
         self.sign = lattice.sign
-        self._offsets: dict[int, tuple[Point, ...]] = {}
+        self.base = n_max - 1
+        self.stride = 2 * self.base + 1
+        self._deltas: dict[int, _Deltas] = {}
 
-    def offsets(self, k: int) -> tuple[Point, ...]:
-        """Offsets (dk, s*di, s*dj) from layer k, looked up once."""
-        offs = self._offsets.get(k)
-        if offs is None:
-            offs = self._offsets[k] = _oriented(self.lattice.offsets(k), self.sign)
-        return offs
+    @property
+    def origin(self) -> int:
+        """The key of the origin."""
+        return (self.base * self.stride + self.base) * self.stride + self.base
+
+    def deltas(self, k: int) -> _Deltas:
+        """The key deltas from layer k, looked up once."""
+        deltas = self._deltas.get(k)
+        if deltas is None:
+            deltas = self._deltas[k] = _key_deltas(self.lattice.offsets(k), self.sign, self.stride)
+        return deltas
+
+    def balls(self, keys: list[int]) -> list[Point]:
+        """The points of ``keys`` in grid coordinates."""
+        s, base, stride = self.sign, self.base, self.stride
+        balls = []
+        for key in keys:
+            rest, b = divmod(key, stride)
+            k, a = divmod(rest, stride)
+            balls.append((s * (a - base), s * (b - base), k - base))
+        return balls
 
 
 class _Part:
@@ -127,23 +165,9 @@ class _Part:
         self.deltas = deltas
 
 
-# Key deltas per offsets tuple, for runs of one stride.
-_Keyed = dict[tuple[Point, ...], tuple[int, ...]]
-
-
 class _Branch:
-    """One greedy run, shared by every grid in ``grids``.
-
-    Points are stored as packed keys: the point with orientation-adjusted
-    coordinates (k, s*i, s*j) is the integer ``((k + base) * stride + s*i +
-    base) * stride + s*j + base``, with ``base = n_max - 1`` and ``stride =
-    2 * base + 1``.  The run starts at the origin, only the first ``n_max -
-    1`` balls are ever absorbed, and each neighbor offset moves each
-    coordinate by at most 1, so no stored point has a coordinate beyond
-    ``n_max - 1`` in absolute value.  Every digit therefore lies in
-    0..stride-1, the key is a non-negative mixed-radix number, and integer
-    order is tuple order: the lexicographic tie rule is plain integer order,
-    and a neighbor is the key plus a fixed delta.
+    """One greedy run, shared by every grid in ``grids``, its points stored
+    as their packed keys (see :class:`_Grid`).
 
     ``counts`` maps each frontier key to the number of placed balls it
     touches and each placed key to -1; ``buckets[c]`` holds the frontier keys
@@ -151,46 +175,35 @@ class _Branch:
     is placed.  Every placed ball but a finished run's last is absorbed into
     the frontier.  ``layers`` maps ``key // stride**2``, the layer plus
     ``base``, to the key deltas of every layer reached so far on which all
-    of ``grids`` agree.  ``keyed`` caches key deltas per offsets tuple for
-    every run of a sweep, which all have one stride.
+    of ``grids`` agree.
     """
 
-    __slots__ = ("grids", "rng", "base", "stride", "counts", "buckets", "placed", "curve", "layers", "keyed")
+    __slots__ = ("grids", "rng", "counts", "buckets", "placed", "curve", "layers")
 
     def __init__(
         self,
         grids: list[_Grid],
         rng: random.Random | None,
-        base: int,
-        stride: int,
         counts: dict[int, int],
         buckets: list[set[int]],
         placed: list[int],
         curve: list[int],
         layers: dict[int, tuple[int, ...]],
-        keyed: _Keyed,
     ):
         self.grids = grids
         self.rng = rng
-        self.base = base
-        self.stride = stride
         self.counts = counts
         self.buckets = buckets
         self.placed = placed
         self.curve = curve
         self.layers = layers
-        self.keyed = keyed
 
     @classmethod
-    def start(
-        cls, grids: list[_Grid], rng: random.Random | None, n_max: int, keyed: _Keyed | None = None
-    ) -> "_Branch":
-        """A run of up to ``n_max`` balls whose first ball is the origin."""
-        base = n_max - 1
-        stride = 2 * base + 1
-        key = (base * stride + base) * stride + base
+    def start(cls, grids: list[_Grid], rng: random.Random | None) -> "_Branch":
+        """A run on ``grids``, all made for one size, whose first ball is the origin."""
+        key = grids[0].origin
         buckets = [{key}, *(set() for _ in range(12))]
-        return cls(grids, rng, base, stride, {key: 0}, buckets, [], [0], {}, {} if keyed is None else keyed)
+        return cls(grids, rng, {key: 0}, buckets, [], [0], {})
 
     def fork(self, part: _Part) -> "_Branch":
         """A copy of this run for the grids of ``part`` alone."""
@@ -199,8 +212,8 @@ class _Branch:
             rng = random.Random()
             rng.setstate(self.rng.getstate())
         child = _Branch(
-            self.grids, rng, self.base, self.stride, dict(self.counts), [set(b) for b in self.buckets],
-            self.placed[:], self.curve[:], dict(self.layers), self.keyed,
+            self.grids, rng, dict(self.counts), [set(b) for b in self.buckets],
+            self.placed[:], self.curve[:], dict(self.layers),
         )
         child.merge(part)
         return child
@@ -216,48 +229,40 @@ class _Branch:
         for layer, far in part.deltas.items():
             layers[layer] += far
 
-    def deltas(self, offs: tuple[Point, ...]) -> tuple[int, ...]:
-        """The key deltas of offsets (dk, s*di, s*dj)."""
-        deltas = self.keyed.get(offs)
-        if deltas is None:
-            stride = self.stride
-            deltas = self.keyed[offs] = tuple((dk * stride + da) * stride + db for dk, da, db in offs)
-        return deltas
-
 
 def _reach(branch: _Branch, layer: int, parts: list[_Part]) -> tuple[tuple[int, ...], list[_Part]]:
     """The key deltas of ``layer``, the layer plus ``base``, that all grids
     of ``branch`` share, and the pending split, when a ball first reaches it.
 
     The layers reached before are a range next to this one, and fix its
-    offsets into that range, so the grids can differ only in the offsets
-    into the next layer out.  If they do, every pending part, or all grids
-    if none is pending, splits by them, copying its far counts.
+    deltas into that range, so the grids can differ only in the deltas into
+    the next layer out.  If they do, every pending part, or all grids if
+    none is pending, splits by them, copying its far counts.
     """
-    k = layer - branch.base
-    subs = []  # per part, its grids by their offsets from layer k
+    k = layer - branch.grids[0].base
+    subs = []  # per part, its grids by their key deltas from layer k
     for part in parts or [_Part(branch.grids, {}, 0, {})]:
-        sub: dict[tuple[Point, ...], list[_Grid]] = {}
+        sub: dict[_Deltas, list[_Grid]] = {}
         for g in part.grids:
-            sub.setdefault(g.offsets(k), []).append(g)
+            sub.setdefault(g.deltas(k), []).append(g)
         subs.append((part, sub))
-    offs = next(iter(subs[0][1]))
-    full = branch.deltas(offs)
-    if all(len(sub) == 1 and offs in sub for _, sub in subs):
-        branch.layers[layer] = full
+    down, same, up = deltas = next(iter(subs[0][1]))
+    if all(len(sub) == 1 and deltas in sub for _, sub in subs):
+        full = branch.layers[layer] = down + same + up
         return full, parts
-    out = 1 if layer - 1 in branch.layers else -1
-    near = branch.layers[layer] = tuple(d for o, d in zip(offs, full) if o[0] != out)
-    split = []
-    for part, sub in subs:
-        for offs, grids in sub.items():
-            far = tuple(d for o, d in zip(offs, branch.deltas(offs)) if o[0] == out)
-            split.append(_Part(grids, dict(part.far), part.top, {**part.deltas, layer: far}))
+    out = 2 if layer - 1 in branch.layers else 0  # the position of the deltas into the next layer out
+    near = branch.layers[layer] = same + deltas[2 - out]
+    split = [
+        _Part(grids, dict(part.far), part.top, {**part.deltas, layer: own[out]})
+        for part, sub in subs
+        for own, grids in sub.items()
+    ]
     return near, split
 
 
-def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
-    """Run ``branch`` to ``n_max`` balls, depth first over its forks.
+def _walk(branch: _Branch, bound: int) -> Iterator[_Branch]:
+    """Run ``branch`` to the size its grids were made for, depth first over
+    its forks.
 
     All grids of a branch share one orientation.  A ball that reaches a layer
     whose offsets differ among them splits them into parts (see
@@ -265,14 +270,20 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
     points of the unreached layer apart.  A part forks into a copy of the
     run when its largest such count reaches the top count, the first step
     at which its ties can differ.  Yields each finished run, which serves
-    all its grids.  ``n_max`` must not exceed the size the branch was
-    started for.
+    all its grids.
     """
     rng, counts, buckets = branch.rng, branch.counts, branch.buckets
     placed, curve, layers = branch.placed, branch.curve, branch.layers
-    base, stride = branch.base, branch.stride
+    base, stride = branch.grids[0].base, branch.grids[0].stride
+    n_max = base + 1
     plane = stride * stride
-    lo, hi = base - bound, base + bound  # the bounded range of a packed digit
+    outside = None  # with a bound, true of the keys beyond it, which are never counted
+    if bound:
+        lo, hi = base - bound, base + bound  # the bounded range of a packed digit
+
+        def outside(q: int) -> bool:
+            return not (lo <= q % stride <= hi and lo <= q // stride % stride <= hi)
+
     total = curve[-1]
     top = 12
     parts: list[_Part] = []  # the pending split, if any
@@ -284,7 +295,7 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
             ready = [part for part in parts if part.top >= top]
             parts = [part for part in parts if part.top < top] or [ready.pop()]
             for part in ready:
-                yield from _walk(branch.fork(part), n_max, bound)
+                yield from _walk(branch.fork(part), bound)
             if len(parts) == 1:
                 branch.merge(parts.pop())
                 top = 12  # merged points may top the frontier
@@ -318,7 +329,7 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
                 continue
             if c:
                 buckets[c].remove(q)
-            elif bound and not (lo <= q % stride <= hi and lo <= q // stride % stride <= hi):
+            elif outside and outside(q):
                 continue
             c += 1
             counts[q] = c
@@ -331,7 +342,7 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
                 for d in part.deltas[layer]:
                     q = p + d
                     c = far.get(q, 0)
-                    if not c and bound and not (lo <= q % stride <= hi and lo <= q // stride % stride <= hi):
+                    if not c and outside and outside(q):
                         continue
                     far[q] = c = c + 1
                     if c > part.top:
@@ -339,27 +350,6 @@ def _walk(branch: _Branch, n_max: int, bound: int) -> Iterator[_Branch]:
                         if c > far_top:
                             far_top = c
     yield branch
-
-
-# A finished run as its packed keys, sign, base and stride: what a sweep
-# worker returns, decoded by _balls only for runs that win some size.
-_Packed = tuple[list[int], int, int, int]
-
-
-def _packed(branch: _Branch) -> _Packed:
-    """A finished run, packed."""
-    return branch.placed, branch.grids[0].sign, branch.base, branch.stride
-
-
-def _balls(run: _Packed) -> list[Point]:
-    """The placed balls of a packed run in grid coordinates."""
-    keys, s, base, stride = run
-    balls = []
-    for key in keys:
-        rest, b = divmod(key, stride)
-        k, a = divmod(rest, stride)
-        balls.append((s * (a - base), s * (b - base), k - base))
-    return balls
 
 
 def _provenance(lattice: Lattice, seed: int | None) -> str:
@@ -373,9 +363,9 @@ def greedy(params: GreedyParams) -> Configuration:
     """Run the greedy algorithm described by ``params``."""
     seed = None if params.tie_rule is None else params.tie_rule.seed
     rng = None if seed is None else random.Random(seed)
-    start = _Branch.start([_Grid(0, params.lattice)], rng, params.n_max)
-    (run,) = _walk(start, params.n_max, params.horizontal_bound)
-    return Configuration(params.lattice, tuple(_balls(_packed(run))), _provenance(params.lattice, seed))
+    grid = _Grid(0, params.lattice, params.n_max)
+    (run,) = _walk(_Branch.start([grid], rng), params.horizontal_bound)
+    return Configuration(params.lattice, tuple(grid.balls(run.placed)), _provenance(params.lattice, seed))
 
 
 class SweepRecord(NamedTuple):
@@ -390,8 +380,8 @@ class SweepRecord(NamedTuple):
 
 
 # Per-n winner of part of a sweep: (contacts, (grid id, restart, input index),
-# packed run).  Contacts descending, then the rank ascending, wins.
-_Winner = tuple[int, tuple[int, int, int], _Packed]
+# placed keys).  Contacts descending, then the rank ascending, wins.
+_Winner = tuple[int, tuple[int, int, int], list[int]]
 
 
 def _best(results: Iterable[list[_Winner | None]], n_max: int) -> list[_Winner | None]:
@@ -406,33 +396,30 @@ def _best(results: Iterable[list[_Winner | None]], n_max: int) -> list[_Winner |
     return best
 
 
-def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int, _Keyed]) -> list[_Winner | None]:
+def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int]) -> list[_Winner | None]:
     """Worker: per-n winners of one restart over one top-level subtree of grids."""
-    grids, n_max, restart, base_seed, bound, keyed = args
+    grids, n_max, restart, base_seed, bound = args
     rng = None if restart == 0 else random.Random(base_seed + restart)
     best = [-1] * (n_max + 1)  # best[n]: the contacts of winners[n]
     winners: list[_Winner | None] = [None] * (n_max + 1)
-    for run in _walk(_Branch.start(grids, rng, n_max, keyed), n_max, bound):
+    for run in _walk(_Branch.start(grids, rng), bound):
         rep = min(run.grids, key=lambda g: (g.gid, g.index))
         rank = (rep.gid, restart, rep.index)
-        curve = run.curve
-        packed = None
+        curve, placed = run.curve, run.placed
         for n in range(1, n_max + 1):
             c = curve[n]
             if c > best[n] or (c == best[n] and rank < winners[n][1]):  # type: ignore[index]
-                if packed is None:
-                    packed = _packed(run)
                 best[n] = c
-                winners[n] = (c, rank, packed)
+                winners[n] = (c, rank, placed)
     return winners
 
 
 def _subtrees(grids: list[_Grid]) -> list[list[_Grid]]:
-    """Grids grouped by kind, orientation and start-layer offsets: the
+    """Grids grouped by kind, orientation and start-layer key deltas: the
     top-level subtrees of a sweep, which share no greedy step."""
     parts: dict[object, list[_Grid]] = {}
     for g in grids:
-        parts.setdefault((type(g.lattice), g.sign, g.offsets(0)), []).append(g)
+        parts.setdefault((type(g.lattice), g.sign, g.deltas(0)), []).append(g)
     return list(parts.values())
 
 
@@ -464,10 +451,10 @@ def greedy_sweep(
         raise ValueError("horizontal_bound must be 0 (unbounded) or positive")
     if workers < 0:
         raise ValueError("workers must be 0 (all cores) or positive")
-    subtrees = _subtrees([_Grid(index, g) for index, g in enumerate(grids)])
-    keyed: _Keyed = {}
+    by_index = [_Grid(index, g, n_max) for index, g in enumerate(grids)]
+    subtrees = _subtrees(by_index)
     tasks = [
-        (sub, n_max, r, base_seed, horizontal_bound, keyed)
+        (sub, n_max, r, base_seed, horizontal_bound)
         for r in range(restarts + 1)
         for sub in subtrees
     ]
@@ -485,13 +472,13 @@ def greedy_sweep(
         best = _best(map(_sweep_subtree, tasks), n_max)
 
     # Decode each winning run once, for every size it wins, and free its
-    # packed keys as soon as those records are made.
+    # keys as soon as those records are made.
     wins: dict[tuple[int, int, int], list[int]] = {}
     for n in range(1, n_max + 1):
         wins.setdefault(best[n][1], []).append(n)  # type: ignore[index]
     records: dict[int, SweepRecord] = {}
     for (gid, r, index), sizes in wins.items():
-        balls = _balls(best[sizes[0]][2])  # type: ignore[index]
+        balls = by_index[index].balls(best[sizes[0]][2])  # type: ignore[index]
         lattice = grids[index]
         provenance = _provenance(lattice, None if r == 0 else base_seed + r)
         for n in sizes:
@@ -584,7 +571,7 @@ def exhaustive(
     if n == 0:
         return 0, [empty], [(0, empty)]
 
-    near = _window_neighbors(lattice, window)
+    near = _window_neighbors(lattice, pts)
     # touch[a]: one byte per window point, 1 at each neighbor of a.  Summed
     # over the chosen balls, byte b counts the chosen neighbors of point b;
     # no point has more than 12 neighbors, so no byte carries into the next.
@@ -663,22 +650,15 @@ def exhaustive(
     return column[n], configs, [(0, empty), *zip(column[1:], map(config, firsts[1:]))]
 
 
-def _window_neighbors(lattice: Lattice, window: Window) -> list[list[int]]:
-    """Per window point in (k, i, j) order, the indices of its neighbors in
-    the window, read off one neighbor-offset table per layer."""
-    (i0, i1), (j0, j1), (k0, k1) = window.i_range, window.j_range, window.k_range
-    ni, nj = i1 - i0 + 1, j1 - j0 + 1
-    near = []
-    for k in range(k0, k1 + 1):
-        offs = lattice.offsets(k)
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                near.append([
-                    ((k + dk - k0) * ni + i + di - i0) * nj + j + dj - j0
-                    for di, dj, dk in offs
-                    if i0 <= i + di <= i1 and j0 <= j + dj <= j1 and k0 <= k + dk <= k1
-                ])
-    return near
+def _window_neighbors(lattice: Lattice, pts: list[Point]) -> list[list[int]]:
+    """Per point of ``pts``, the indices of its neighbors among them, read
+    off one neighbor-offset table per layer."""
+    index = {p: n for n, p in enumerate(pts)}
+    offsets = {k: lattice.offsets(k) for k in {k for _, _, k in pts}}
+    return [
+        [n for di, dj, dk in offsets[k] if (n := index.get((i + di, j + dj, k + dk))) is not None]
+        for i, j, k in pts
+    ]
 
 
 def unique_window_grids(grids: Sequence[Lattice], window: Window) -> list[Lattice]:

@@ -100,10 +100,10 @@ def reference_sweep(n_max, grids, restarts=0, base_seed=0, bound=0):
 def shared_runs(lattices, n_max, restart, base_seed=0, bound=0):
     """(balls, curve) per input index, read off the shared walk."""
     out = {}
-    for sub in search._subtrees([search._Grid(i, g) for i, g in enumerate(lattices)]):
-        start = search._Branch.start(sub, restart_rng(restart, base_seed), n_max)
-        for run in search._walk(start, n_max, bound):
-            balls = search._balls(search._packed(run))
+    for sub in search._subtrees([search._Grid(i, g, n_max) for i, g in enumerate(lattices)]):
+        start = search._Branch.start(sub, restart_rng(restart, base_seed))
+        for run in search._walk(start, bound):
+            balls = run.grids[0].balls(run.placed)
             for g in run.grids:
                 assert g.index not in out
                 out[g.index] = (balls, run.curve)
@@ -168,8 +168,8 @@ def test_octahedral():
 @pytest.mark.parametrize("lattices, restarts", [([OCT], 40), (NINE_LAYERS, 1)])
 def test_sweep_decodes_only_winning_runs(lattices, restarts, monkeypatch):
     decoded = []
-    balls = search._balls
-    monkeypatch.setattr(search, "_balls", lambda run: decoded.append(run) or balls(run))
+    balls = search._Grid.balls
+    monkeypatch.setattr(search._Grid, "balls", lambda grid, keys: decoded.append(keys) or balls(grid, keys))
     records = greedy_sweep(120, lattices, restarts=restarts, base_seed=3)
     assert records == reference_sweep(120, lattices, restarts=restarts, base_seed=3)
     winners = {(rec.configuration.lattice, rec.restarts_used) for rec in records}
@@ -224,14 +224,33 @@ def test_key_packing_edges_match_reference(lattice, bound, n_max):
         assert list(cfg.balls) == reference_run(lattice, n_max, rng, bound)[0], seed
 
 
+def test_grids_with_equal_offsets_share_one_delta_triple():
+    # a sweep holds the deltas of every grid and layer it reaches; interning
+    # keeps that to one triple per distinct offsets tuple, sign and size
+    a, b = (search._Grid(i, g, 200) for i, g in enumerate(NINE_LAYERS[:2]))
+    shared = [k for k in range(-4, 5) if a.lattice.offsets(k) == b.lattice.offsets(k)]
+    assert shared and len(shared) < 9
+    for k in range(-4, 5):
+        assert (a.deltas(k) is b.deltas(k)) == (k in shared)
+
+
+@pytest.mark.parametrize("lattice", [OCT, NINE_LAYERS[77], next(g for g in ALL_NINE_LAYERS if g.sign == -1)])
+def test_grid_balls_invert_keys(lattice):
+    grid = search._Grid(0, lattice, 50)
+    assert grid.balls([grid.origin]) == [(0, 0, 0)]
+    for dk, deltas in zip((-1, 0, 1), grid.deltas(0)):
+        (di, dj, _), d = next(o for o in lattice.offsets(0) if o[2] == dk), deltas[0]
+        assert grid.balls([grid.origin + d]) == [(di, dj, dk)]
+
+
 # A split is deferred: grids that differ only in the offsets into a layer no
 # ball has reached keep one run, each part counting its points of that layer
 # apart, until those points could join a tie.
 
 
 def walk(lattices, n_max, rng=None, bound=0):
-    grids = [search._Grid(i, g) for i, g in enumerate(lattices)]
-    return list(search._walk(search._Branch.start(grids, rng, n_max), n_max, bound))
+    grids = [search._Grid(i, g, n_max) for i, g in enumerate(lattices)]
+    return list(search._walk(search._Branch.start(grids, rng), bound))
 
 
 def test_split_never_forking_is_one_run():
@@ -239,7 +258,7 @@ def test_split_never_forking_is_one_run():
     # places balls in layer 1 but never one in layer 2 serves both
     lattices = [parse_descriptor("hex:0..2:10"), parse_descriptor("hex:0..2:11")]
     (run,) = walk(lattices, 7)
-    balls = search._balls(search._packed(run))
+    balls = run.grids[0].balls(run.placed)
     assert any(k == 1 for _, _, k in balls[:-1])
     assert sorted(g.index for g in run.grids) == [0, 1]
     for lattice in lattices:
@@ -256,7 +275,7 @@ def test_second_split_while_one_is_pending(monkeypatch):
     def hook(branch, layer, parts):
         deltas, split = reach(branch, layer, parts)
         if parts and len(split) > len(parts):
-            nested.append((layer - branch.base, len(parts), len(split)))
+            nested.append((layer - branch.grids[0].base, len(parts), len(split)))
         return deltas, split
 
     monkeypatch.setattr(search, "_reach", hook)
@@ -274,7 +293,7 @@ def test_far_points_cut_by_horizontal_bound(monkeypatch):
 
     def hook(branch, layer, pending):
         deltas, split = reach(branch, layer, pending)
-        parts.extend((part, branch.base, branch.stride) for part in split)
+        parts.extend((part, branch.grids[0].base, branch.grids[0].stride) for part in split)
         return deltas, split
 
     monkeypatch.setattr(search, "_reach", hook)
