@@ -4,10 +4,11 @@
 integer coordinates of its lattice's ``lift``, where the scaled squared
 distance of a pair is the lattice's diagonal ``form`` in the coordinate
 differences.  Only a few differences keep two balls within contact distance
-under that form, so it finds the close pairs by looking up each ball shifted
-by each of those differences, not by comparing every pair; only a
-configuration with no close pair at all falls back to a loop over all pairs
-for its minimum distance.
+under that form.  With one byte per position of a box around the balls, read
+as one integer, a shift by each difference tests or counts it for all balls
+at once; balls too far apart for a small box are looked up in a set of keys
+instead.  Only a configuration with no close pair at all falls back to a
+loop over all pairs for its minimum distance.
 
 Configuration files are JSON lines: a header, then one line per ball.  One
 private formatter writes the ball lines, giving the bytes ``json.dumps``
@@ -29,6 +30,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import re
 from typing import IO, Iterable, NamedTuple
 
@@ -81,6 +83,8 @@ class ContactReport(NamedTuple):
 
 
 def _check_duplicates(balls: tuple[Point, ...]) -> None:
+    if len(set(balls)) == len(balls):
+        return
     seen: dict[Point, int] = {}
     for idx, b in enumerate(balls):
         if b in seen:
@@ -90,14 +94,20 @@ def _check_duplicates(balls: tuple[Point, ...]) -> None:
 
 def _check_layers(lattice: Lattice, balls: tuple[Point, ...]) -> None:
     t1, t2 = lattice.layers
-    for idx, b in enumerate(balls):
-        if not t1 <= b[2] <= t2:
-            raise LayerOutOfRangeError(idx, b[2], t1, t2)
+    ks = list(map(operator.itemgetter(2), balls))
+    if not ks or t1 <= min(ks) and max(ks) <= t2:
+        return
+    for idx, k in enumerate(ks):
+        if not t1 <= k <= t2:
+            raise LayerOutOfRangeError(idx, k, t1, t2)
 
 
 # No difference within contact distance moves a lifted coordinate by more
 # than 3 (dv^2 <= 12 on hexagonal grids), so _REACH bounds every offset.
 _REACH = 3
+# The largest lane box, in bytes, that verify allocates; a configuration
+# spread wider is checked through a set of keys instead.
+_LANE_BYTES = 1 << 20
 
 
 @functools.cache
@@ -121,11 +131,16 @@ def verify(config: Configuration) -> ContactReport:
     RuntimeError if any pair sits closer than the contact distance, which no
     genuine lattice configuration can do.
 
-    Close pairs are found by lookup: each lifted ball is packed into one
-    integer key, and for each offset within contact distance the key set is
-    intersected with itself shifted by that offset.  So when any pair lies
-    within contact distance, the smallest offset hit is the minimum scaled
-    distance; only when no pair does is the minimum taken over all pairs.
+    Each lifted ball is packed into one integer key, its byte in a box with
+    a margin of _REACH on every axis, so a key moved by an offset names the
+    position moved by it.  With ``lanes`` the box read as an integer, 1 at
+    each ball, ``lanes & lanes >> 8*delta`` shows a pair at offset delta, and
+    ``lanes`` shifted both ways by every contact offset sums to each ball's
+    degree in its byte, at most 18, so no byte carries.  A box over
+    _LANE_BYTES falls back to intersecting the key set with itself shifted
+    by each offset.  So when any pair lies within contact distance, the
+    smallest offset hit is the minimum scaled distance; only when no pair
+    does is the minimum taken over all pairs.
     """
     _check_duplicates(config.balls)
     _check_layers(config.lattice, config.balls)
@@ -135,26 +150,35 @@ def verify(config: Configuration) -> ContactReport:
     lifted = list(map(lattice.lift, config.balls))
     n = len(lifted)
     degrees = [0] * n
-    contacts = 0
     low = math.inf
     if n >= 2:
-        # A difference of two balls less an offset is below the stride in every
-        # coordinate, so the key of p + offset equals the key of q only if
-        # q = p + offset: every hit is a real pair.
-        stride = max(max(c) - min(c) for c in zip(*lifted)) + _REACH + 1
-        keys = [(u * stride + v) * stride + w for u, v, w in lifted]
-        index = {key: i for i, key in enumerate(keys)}
-        for du, dv, dw, d in _close_offsets(cu, cw, threshold):
-            delta = (du * stride + dv) * stride + dw
-            hits = index.keys() & map(delta.__add__, keys)
-            if not hits:
-                continue
-            low = min(low, d)
-            if d == threshold:
-                contacts += len(hits)
-                for key in hits:
-                    degrees[index[key]] += 1
-                    degrees[index[key - delta]] += 1
+        us, vs, ws = zip(*lifted)
+        su, sv, sw = (max(c) - min(c) + 2 * _REACH + 1 for c in (us, vs, ws))
+        base = ((_REACH - min(us)) * sv + _REACH - min(vs)) * sw + _REACH - min(ws)
+        keys = [(u * sv + v) * sw + w + base for u, v, w in lifted]
+        offsets = [((du * sv + dv) * sw + dw, d) for du, dv, dw, d in _close_offsets(cu, cw, threshold)]
+        size = su * sv * sw
+        if size <= _LANE_BYTES:
+            buf = bytearray(size)
+            for key in keys:
+                buf[key] = 1
+            lanes = int.from_bytes(buf, "little")
+            low = min((d for delta, d in offsets if d < threshold and lanes & lanes >> 8 * delta), default=low)
+            total = sum((lanes >> 8 * delta) + (lanes << 8 * delta) for delta, d in offsets if d == threshold)
+            degrees = list(map(total.to_bytes(size, "little").__getitem__, keys))
+            if any(degrees):
+                low = min(low, threshold)
+        else:
+            index = {key: i for i, key in enumerate(keys)}
+            for delta, d in offsets:
+                hits = index.keys() & map(delta.__add__, keys)
+                if not hits:
+                    continue
+                low = min(low, d)
+                if d == threshold:
+                    for key in hits:
+                        degrees[index[key]] += 1
+                        degrees[index[key - delta]] += 1
         if low > threshold:
             low = min(
                 cu * (u - x) ** 2 + (v - y) ** 2 + cw * (w - z) ** 2
@@ -165,7 +189,7 @@ def verify(config: Configuration) -> ContactReport:
             f"scaled squared distance {low} below contact threshold {threshold}; "
             "points do not form a packing"
         )
-    return ContactReport(n, contacts, tuple(degrees), None if n < 2 else low)
+    return ContactReport(n, sum(degrees) // 2, tuple(degrees), None if n < 2 else low)
 
 
 def _header_line(config: Configuration) -> str:

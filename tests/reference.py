@@ -1,5 +1,6 @@
 """Slow reference helpers that the tests check the package against."""
 
+import itertools
 import math
 
 from hexcontact.contact import Configuration, DuplicateBallError
@@ -55,3 +56,21 @@ def reflect_configuration(config):
     """Mirror image of a hexagonal-grid configuration on the flipped grid."""
     mirrored = Hexagonal(flipped(config.lattice.seq))
     return Configuration(mirrored, tuple((-i, -j, k) for i, j, k in config.balls), config.provenance)
+
+
+def all_pairs_report(cfg):
+    """Contacts, degrees and minimum scaled distance from one loop over all
+    pairs of lifted balls: the reference for both of verify's paths on
+    configurations too large for a scaled_sq_dist call per pair."""
+    threshold = cfg.lattice.contact
+    cu, cw = (3, 8) if isinstance(cfg.lattice, Hexagonal) else (1, 2)
+    lifted = [cfg.lattice.lift(b) for b in cfg.balls]
+    degrees = [0] * len(lifted)
+    low = None
+    for (i, (u, v, w)), (j, (x, y, z)) in itertools.combinations(enumerate(lifted), 2):
+        d = cu * (u - x) ** 2 + (v - y) ** 2 + cw * (w - z) ** 2
+        low = d if low is None else min(low, d)
+        if d == threshold:
+            degrees[i] += 1
+            degrees[j] += 1
+    return sum(degrees) // 2, tuple(degrees), low

@@ -7,9 +7,9 @@ from unittest import mock
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import incremental_delta, neighbors, reflect_configuration
+from reference import all_pairs_report, incremental_delta, neighbors, reflect_configuration
 
-from hexcontact import cli
+from hexcontact import cli, contact
 from hexcontact.contact import (
     Configuration,
     ContactReport,
@@ -92,24 +92,6 @@ def pairwise_report(cfg):
     return sum(degrees) // 2, tuple(degrees), min(dists, default=None)
 
 
-def all_pairs_report(cfg):
-    """Contacts, degrees and minimum scaled distance from one loop over all
-    pairs of lifted balls: the reference for verify's offset lookup on
-    configurations too large for pairwise_report."""
-    threshold = cfg.lattice.contact
-    cu, cw = (3, 8) if isinstance(cfg.lattice, Hexagonal) else (1, 2)
-    lifted = [cfg.lattice.lift(b) for b in cfg.balls]
-    degrees = [0] * len(lifted)
-    low = None
-    for (i, (u, v, w)), (j, (x, y, z)) in itertools.combinations(enumerate(lifted), 2):
-        d = cu * (u - x) ** 2 + (v - y) ** 2 + cw * (w - z) ** 2
-        low = d if low is None else min(low, d)
-        if d == threshold:
-            degrees[i] += 1
-            degrees[j] += 1
-    return sum(degrees) // 2, tuple(degrees), low
-
-
 def summary(report):
     return report.contacts, report.degree_sequence, report.min_scaled_dist
 
@@ -157,6 +139,78 @@ def test_verify_matches_all_pairs_on_sweeps(swept_configs, kind):
     assert [len(c) for c in configs] == list(range(1, 201))
     for cfg in configs:
         assert summary(verify(cfg)) == all_pairs_report(cfg), len(cfg)
+
+
+def verify_by_keys(cfg):
+    """verify through its key-set path, forced by a lane cap of 0 bytes."""
+    with mock.patch.object(contact, "_LANE_BYTES", 0):
+        return verify(cfg)
+
+
+@pytest.fixture
+def lane_boxes(monkeypatch):
+    """The sizes of the lane boxes verify allocates during the test."""
+    boxes = []
+
+    def counted(size):
+        boxes.append(size)
+        return bytearray(size)
+
+    monkeypatch.setattr(contact, "bytearray", counted, raising=False)
+    return boxes
+
+
+@pytest.fixture(scope="module")
+def path_configs(written_columns):
+    """200-ball greedy runs on OCT and three hex grids, random grown
+    configurations, and the 3x3x3 exact columns on hex and OCT."""
+    window = Window((-1, 1), (-1, 1), (-1, 1))
+    grids = [OCT, *(Hexagonal(NINE_LAYER_SEQS[g]) for g in (0, 0b01010101, 0b00101101))]
+    rng = random.Random(19)
+    return {
+        "greedy": [greedy_sweep(200, [g])[-1].configuration for g in grids],
+        "grown": [random_grown_config(rng, g, n) for g in grids for n in (2, 13, 40, 120)],
+        "column": [
+            *written_columns["exact"],
+            *(r.configuration for r in exhaustive_column(window, 27, [OCT])),
+        ],
+    }
+
+
+@pytest.mark.parametrize("kind", ["greedy", "grown", "column"])
+def test_lanes_and_keys_agree_with_all_pairs(path_configs, kind, lane_boxes):
+    configs = path_configs[kind]
+    for cfg in configs:
+        report = verify(cfg)
+        assert report == verify_by_keys(cfg), len(cfg)
+        assert summary(report) == all_pairs_report(cfg), len(cfg)
+    assert len(lane_boxes) == sum(len(cfg) >= 2 for cfg in configs)
+
+
+@given(grown_configs())
+def test_lanes_and_keys_agree_on_grown_configs(cfg):
+    assert verify(cfg) == verify_by_keys(cfg)
+
+
+@pytest.mark.parametrize("lattice, far", [
+    (OCT, ((10**9, 0, 0), (0, 10**9, 0), (0, 0, 10**9))),
+    (UP_GRID, ((10**9, 0, 0), (0, -10**9, 0), (-10**9, 10**9, 4))),
+    # lifted (21400, 0, 0) away: a box of 49 * 21407 = 1,048,943 bytes
+    (OCT, ((10_700, 0, 0),)),
+], ids=["oct", "hex", "oct-just-past-the-cap"])
+def test_spread_input_takes_the_key_set(lattice, far, lane_boxes):
+    balls = (*far, (0, 0, 0), (1, 0, 0))
+    n = len(balls)
+    report = verify(Configuration(lattice, balls))
+    assert report == ContactReport(n, 1, (0,) * (n - 2) + (1, 1), lattice.contact)
+    assert not lane_boxes
+
+
+def test_spread_just_under_the_cap_takes_the_lane_box(lane_boxes):
+    # lifted (21380, 0, 0) away: a box of 49 * 21387 = 1,047,963 bytes
+    report = verify(Configuration(OCT, ((10_690, 0, 0), (0, 0, 0), (1, 0, 0))))
+    assert report == ContactReport(3, 1, (0, 1, 1), 4)
+    assert lane_boxes == [1_047_963]
 
 
 def test_list_balls_become_tuples():
@@ -234,8 +288,8 @@ class TestVerify:
         assert pairwise_report(Configuration(lattice, balls))[2] == dist
 
     def test_pair_spanning_the_key_stride(self):
-        # Lifted to (0, 0, 0) and (0, 6, 0): a span of 6, so the stride is
-        # 10.  At a stride of 9 the key of the first ball shifted by the
+        # Lifted to (0, 0, 0) and (0, 6, 0): a span of 6 in v, so its stride
+        # is 13.  At a stride of 9 the key of the first ball shifted by the
         # contact offset (1, -3, 0) would equal the key of the second.
         report = verify(Configuration(UP_GRID, ((0, 0, 0), (-1, 2, 0))))
         assert report == ContactReport(2, 0, (0, 0), 36)
@@ -321,6 +375,16 @@ class TestFloorCheck:
             verify(Configuration(ID_HEX, (*TETRA, TETRA[0])))
         with pytest.raises(LayerOutOfRangeError):
             verify(Configuration(ID_HEX, (*TETRA, (0, 0, 5))))
+
+
+class TestFloorCheckByKeys(TestFloorCheck):
+    """TestFloorCheck through verify's key-set path: a lane cap of 0 bytes."""
+
+    @pytest.fixture(autouse=True)
+    def keys_only(self, monkeypatch, lane_boxes):
+        monkeypatch.setattr(contact, "_LANE_BYTES", 0)
+        yield
+        assert not lane_boxes
 
 
 class TestPrefix:
