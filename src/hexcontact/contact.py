@@ -6,9 +6,8 @@ distance of a pair is the lattice's diagonal ``form`` in the coordinate
 differences.  Only a few differences keep two balls within contact distance
 under that form.  With one byte per position of a box around the balls, read
 as one integer, a shift by each difference tests or counts it for all balls
-at once; balls too far apart for a small box are looked up in a set of keys
-instead.  Only a configuration with no close pair at all falls back to a
-loop over all pairs for its minimum distance.
+at once.  A configuration spread too wide for a small box, or one with no
+close pair at all, is checked by a loop over all pairs instead.
 
 Configuration files are JSON lines: a header, then one line per ball.  One
 private formatter writes the ball lines, giving the bytes ``json.dumps``
@@ -106,7 +105,7 @@ def _check_layers(lattice: Lattice, balls: tuple[Point, ...]) -> None:
 # than 3 (dv^2 <= 12 on hexagonal grids), so _REACH bounds every offset.
 _REACH = 3
 # The largest lane box, in bytes, that verify allocates; a configuration
-# spread wider is checked through a set of keys instead.
+# spread wider is checked by the loop over all pairs instead.
 _LANE_BYTES = 1 << 20
 
 
@@ -136,11 +135,10 @@ def verify(config: Configuration) -> ContactReport:
     position moved by it.  With ``lanes`` the box read as an integer, 1 at
     each ball, ``lanes & lanes >> 8*delta`` shows a pair at offset delta, and
     ``lanes`` shifted both ways by every contact offset sums to each ball's
-    degree in its byte, at most 18, so no byte carries.  A box over
-    _LANE_BYTES falls back to intersecting the key set with itself shifted
-    by each offset.  So when any pair lies within contact distance, the
-    smallest offset hit is the minimum scaled distance; only when no pair
-    does is the minimum taken over all pairs.
+    degree in its byte, at most 18, so no byte carries.  So when any pair
+    lies within contact distance, the smallest offset hit is the minimum
+    scaled distance.  When no pair does, or the box would exceed
+    _LANE_BYTES, one loop over all pairs takes the minimum and the degrees.
     """
     _check_duplicates(config.balls)
     _check_layers(config.lattice, config.balls)
@@ -154,11 +152,11 @@ def verify(config: Configuration) -> ContactReport:
     if n >= 2:
         us, vs, ws = zip(*lifted)
         su, sv, sw = (max(c) - min(c) + 2 * _REACH + 1 for c in (us, vs, ws))
-        base = ((_REACH - min(us)) * sv + _REACH - min(vs)) * sw + _REACH - min(ws)
-        keys = [(u * sv + v) * sw + w + base for u, v, w in lifted]
-        offsets = [((du * sv + dv) * sw + dw, d) for du, dv, dw, d in _close_offsets(cu, cw, threshold)]
         size = su * sv * sw
         if size <= _LANE_BYTES:
+            base = ((_REACH - min(us)) * sv + _REACH - min(vs)) * sw + _REACH - min(ws)
+            keys = [(u * sv + v) * sw + w + base for u, v, w in lifted]
+            offsets = [((du * sv + dv) * sw + dw, d) for du, dv, dw, d in _close_offsets(cu, cw, threshold)]
             buf = bytearray(size)
             for key in keys:
                 buf[key] = 1
@@ -168,22 +166,14 @@ def verify(config: Configuration) -> ContactReport:
             degrees = list(map(total.to_bytes(size, "little").__getitem__, keys))
             if any(degrees):
                 low = min(low, threshold)
-        else:
-            index = {key: i for i, key in enumerate(keys)}
-            for delta, d in offsets:
-                hits = index.keys() & map(delta.__add__, keys)
-                if not hits:
-                    continue
-                low = min(low, d)
-                if d == threshold:
-                    for key in hits:
-                        degrees[index[key]] += 1
-                        degrees[index[key - delta]] += 1
         if low > threshold:
-            low = min(
-                cu * (u - x) ** 2 + (v - y) ** 2 + cw * (w - z) ** 2
-                for (u, v, w), (x, y, z) in itertools.combinations(lifted, 2)
-            )
+            for (i, (u, v, w)), (j, (x, y, z)) in itertools.combinations(enumerate(lifted), 2):
+                d = cu * (u - x) ** 2 + (v - y) ** 2 + cw * (w - z) ** 2
+                if d < low:
+                    low = d
+                if d == threshold:
+                    degrees[i] += 1
+                    degrees[j] += 1
     if low < threshold:
         raise RuntimeError(
             f"scaled squared distance {low} below contact threshold {threshold}; "

@@ -17,8 +17,6 @@ the contact and search code read it off their attributes alone:
 * ``contact``: the form's value for two touching balls, 12 or 4;
 * ``layers``: the layer range (t1, t2), unbounded on the octahedral lattice;
 * ``offsets(k)``: the neighbor offsets from layer k;
-* ``steps(k0, k1)``: how far the lifted origin moves in u at each layer step,
-  which with ``form`` fixes what a window over those layers sees;
 * ``gid`` and ``sign``: the grid id and the mirror orientation, -1 and +1 on
   the octahedral lattice;
 * ``descriptor``: the text form, ``hex:t1..t2:<bits>`` or ``oct``, which
@@ -37,7 +35,6 @@ is private.
 from __future__ import annotations
 
 import math
-import operator
 from functools import cache
 from itertools import accumulate
 
@@ -254,15 +251,6 @@ class Hexagonal(_Frozen):
         up = seq.shift(k + 1) - s if k < seq.t2 else 0
         return _layer_offsets(down, up)
 
-    def steps(self, k0: int, k1: int) -> tuple[int, ...]:
-        """The change of the lifted u of (0, 0, k) at each layer step from
-        k0 up to k1: the shift changes, each +1 or -1."""
-        seq = self.seq
-        if not seq.t1 <= k0 <= k1 <= seq.t2:
-            raise ValueError(f"layers {k0}..{k1} outside {seq.t1}..{seq.t2}")
-        sums = seq.prefix_sums[k0 - seq.t1 : k1 - seq.t1 + 1]
-        return tuple(map(operator.sub, sums[1:], sums))
-
     def lift(self, p: Point) -> Point:
         """(i, j, k) lifts to (2i + j + s, 3j + s, k), s the shift of layer k;
         the center is (u, v/sqrt3, w*sqrt(8/3))."""
@@ -292,11 +280,6 @@ class Octahedral(_Frozen):
     def offsets(self, k: int) -> tuple[Point, ...]:
         """The twelve neighbor offsets, the same from every layer."""
         return _OCT_OFFSETS
-
-    def steps(self, k0: int, k1: int) -> tuple[int, ...]:
-        """The change of the lifted u of (0, 0, k) at each layer step from
-        k0 up to k1: always 1."""
-        return (1,) * (k1 - k0)
 
     def lift(self, p: Point) -> Point:
         """(x, y, z) lifts to (2x + z, 2y + z, z); the center is (u, v, w*sqrt2)."""

@@ -664,15 +664,17 @@ def _window_neighbors(lattice: Lattice, pts: list[Point]) -> list[list[int]]:
 def unique_window_grids(grids: Sequence[Lattice], window: Window) -> list[Lattice]:
     """First representative of each distinct window restriction, in input order.
 
-    A window sees of a grid only its metric ``form`` and the ``steps``
-    between its layers; grids that agree on both produce congruent point
-    sets in the window, so only one needs searching.
+    A window sees of a grid only its metric ``form`` and how far the lifted
+    u of (0, 0, k) moves from layer k0 to each of its other layers; grids
+    that agree on both produce congruent point sets in the window, so only
+    one needs searching.
     """
     k0, k1 = window.k_range
     seen = set()
     out = []
     for g in grids:
-        sig = (g.form, g.steps(k0, k1))
+        u0 = g.lift((0, 0, k0))[0]
+        sig = (g.form, tuple(g.lift((0, 0, k))[0] - u0 for k in range(k0 + 1, k1 + 1)))
         if sig not in seen:
             seen.add(sig)
             out.append(g)

@@ -141,8 +141,8 @@ def test_verify_matches_all_pairs_on_sweeps(swept_configs, kind):
         assert summary(verify(cfg)) == all_pairs_report(cfg), len(cfg)
 
 
-def verify_by_keys(cfg):
-    """verify through its key-set path, forced by a lane cap of 0 bytes."""
+def verify_by_all_pairs(cfg):
+    """verify through its all-pairs loop, forced by a lane cap of 0 bytes."""
     with mock.patch.object(contact, "_LANE_BYTES", 0):
         return verify(cfg)
 
@@ -178,18 +178,18 @@ def path_configs(written_columns):
 
 
 @pytest.mark.parametrize("kind", ["greedy", "grown", "column"])
-def test_lanes_and_keys_agree_with_all_pairs(path_configs, kind, lane_boxes):
+def test_lanes_and_loop_agree_with_all_pairs(path_configs, kind, lane_boxes):
     configs = path_configs[kind]
     for cfg in configs:
         report = verify(cfg)
-        assert report == verify_by_keys(cfg), len(cfg)
+        assert report == verify_by_all_pairs(cfg), len(cfg)
         assert summary(report) == all_pairs_report(cfg), len(cfg)
     assert len(lane_boxes) == sum(len(cfg) >= 2 for cfg in configs)
 
 
 @given(grown_configs())
-def test_lanes_and_keys_agree_on_grown_configs(cfg):
-    assert verify(cfg) == verify_by_keys(cfg)
+def test_lanes_and_loop_agree_on_grown_configs(cfg):
+    assert verify(cfg) == verify_by_all_pairs(cfg)
 
 
 @pytest.mark.parametrize("lattice, far", [
@@ -198,12 +198,23 @@ def test_lanes_and_keys_agree_on_grown_configs(cfg):
     # lifted (21400, 0, 0) away: a box of 49 * 21407 = 1,048,943 bytes
     (OCT, ((10_700, 0, 0),)),
 ], ids=["oct", "hex", "oct-just-past-the-cap"])
-def test_spread_input_takes_the_key_set(lattice, far, lane_boxes):
+def test_spread_input_takes_the_all_pairs_loop(lattice, far, lane_boxes):
     balls = (*far, (0, 0, 0), (1, 0, 0))
     n = len(balls)
     report = verify(Configuration(lattice, balls))
     assert report == ContactReport(n, 1, (0,) * (n - 2) + (1, 1), lattice.contact)
     assert not lane_boxes
+
+
+@pytest.mark.parametrize("lattice", [OCT, UP_GRID], ids=["oct", "hex"])
+def test_spread_input_of_two_greedy_runs_takes_the_all_pairs_loop(lattice, lane_boxes):
+    run = greedy_sweep(100, [lattice])[-1].configuration
+    far = tuple((i + 10**6, j, k) for i, j, k in run.balls)
+    cfg = Configuration(lattice, (*run.balls, *far))
+    report = verify(cfg)
+    assert not lane_boxes
+    assert summary(report) == all_pairs_report(cfg)
+    assert report.degree_sequence == verify(run).degree_sequence * 2
 
 
 def test_spread_just_under_the_cap_takes_the_lane_box(lane_boxes):
@@ -377,11 +388,11 @@ class TestFloorCheck:
             verify(Configuration(ID_HEX, (*TETRA, (0, 0, 5))))
 
 
-class TestFloorCheckByKeys(TestFloorCheck):
-    """TestFloorCheck through verify's key-set path: a lane cap of 0 bytes."""
+class TestFloorCheckByAllPairs(TestFloorCheck):
+    """TestFloorCheck through verify's all-pairs loop: a lane cap of 0 bytes."""
 
     @pytest.fixture(autouse=True)
-    def keys_only(self, monkeypatch, lane_boxes):
+    def all_pairs_only(self, monkeypatch, lane_boxes):
         monkeypatch.setattr(contact, "_LANE_BYTES", 0)
         yield
         assert not lane_boxes

@@ -199,18 +199,6 @@ class TestLift:
         assert lat.lift((1, 1, -1)) == (2 + 1 - 1, 3 - 1, -1)
         assert OCT.lift((1, 2, 3)) == (2 + 3, 4 + 3, 3)
 
-    @given(seqs(4), st.data())
-    def test_steps_follow_the_lifted_origins(self, seq, data):
-        k0 = data.draw(st.integers(seq.t1, seq.t2))
-        k1 = data.draw(st.integers(k0, seq.t2))
-        for lat in (Hexagonal(seq), OCT):
-            us = [lat.lift((0, 0, k))[0] for k in range(k0, k1 + 1)]
-            assert lat.steps(k0, k1) == tuple(b - a for a, b in zip(us, us[1:]))
-
-    def test_steps_outside_the_layers_rejected(self):
-        with pytest.raises(ValueError, match="outside -1..1"):
-            Hexagonal(EpsilonSeq(-1, 1, (1, 1))).steps(-2, 1)
-
 
 class TestScaledSqDist:
     def test_identical_points(self):

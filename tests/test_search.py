@@ -389,6 +389,19 @@ class TestExhaustiveSweep:
     def test_octahedral_dedupes_to_one(self):
         assert unique_window_grids([OCT, OCT], WINDOW_333) == [OCT]
 
+    @pytest.mark.parametrize("layers, window, distinct", [
+        ((-2, 2), WINDOW_333, 4),
+        ((-1, 2), Window((-2, 1), (-1, 1), (0, 1)), 2),
+    ], ids=["333", "432"])
+    def test_merged_grids_share_their_representative_column(self, layers, window, distinct):
+        grids = [Hexagonal(s) for s in enumerate_grids(*layers, normalize=False)]
+        reps = unique_window_grids(grids, window)
+        columns = {rep: outcome(exhaustive(rep, window, 10))[2] for rep in reps}
+        for g in grids:
+            (rep,) = [r for r in reps if unique_window_grids([r, g], window) == [r]]
+            assert outcome(exhaustive(g, window, 10))[2] == columns[rep], g.descriptor
+        assert len(reps) == len({tuple(c) for c in columns.values()}) == distinct
+
     def test_two_adjacent_points(self):
         rec = exhaustive_column(Window((0, 1), (0, 0), (0, 0)), 2, NINE_LAYERS)[2]
         assert rec.best_contacts == 1
