@@ -250,7 +250,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=0, help="seeded random restarts per grid")
     p.add_argument("--seed", type=int, default=0, help="base seed for restarts")
     p.add_argument("--bound", type=int, default=0, help="horizontal coordinate bound (0 = none)")
-    p.add_argument("--workers", type=int, default=0, help="parallel workers (0 = all cores)")
+    p.add_argument("--workers", type=int, default=0,
+                   help="worker processes, at most one per task and per core (0 = one per core)")
     add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -4,7 +4,8 @@
 integer coordinates of its lattice's ``lift``, where the scaled squared
 distance of a pair is the lattice's diagonal ``form`` in the coordinate
 differences.  Only a few differences keep two balls within contact distance
-under that form.  With one byte per position of a box around the balls, read
+under that form, none moving an axis of weight c past isqrt(contact // c).
+With one byte per position of a box with that margin around the balls, read
 as one integer, a shift by each difference tests or counts it for all balls
 at once.  A configuration spread too wide for a small box, or one with no
 close pair at all, is checked by a loop over all pairs instead.
@@ -101,26 +102,25 @@ def _check_layers(lattice: Lattice, balls: tuple[Point, ...]) -> None:
             raise LayerOutOfRangeError(idx, k, t1, t2)
 
 
-# No difference within contact distance moves a lifted coordinate by more
-# than 3 (dv^2 <= 12 on hexagonal grids), so _REACH bounds every offset.
-_REACH = 3
 # The largest lane box, in bytes, that verify allocates; a configuration
 # spread wider is checked by the loop over all pairs instead.
 _LANE_BYTES = 1 << 20
 
 
 @functools.cache
-def _close_offsets(cu: int, cw: int, threshold: int) -> tuple[tuple[int, int, int, int], ...]:
+def _close_offsets(cu: int, cw: int, threshold: int) -> tuple[Point, tuple[tuple[int, int, int, int], ...]]:
     """Every lifted difference (du, dv, dw) > (0, 0, 0) whose form value
     d = cu*du^2 + dv^2 + cw*dw^2 is at most the contact threshold, as
-    (du, dv, dw, d): one of each +- pair, read off the form alone.  22 on
-    hexagonal grids, 15 on the octahedral lattice."""
-    r = range(-_REACH, _REACH + 1)
-    return tuple(
+    (du, dv, dw, d), one of each +- pair: 22 on hexagonal grids, 15 on the
+    octahedral lattice.  Preceded by the bound (ru, rv, rw) on |du|, |dv|,
+    |dw|, isqrt(threshold // weight) per axis: (2, 3, 1) or (2, 2, 1)."""
+    reach = (math.isqrt(threshold // cu), math.isqrt(threshold), math.isqrt(threshold // cw))
+    offsets = tuple(
         (du, dv, dw, d)
-        for du, dv, dw in itertools.product(r, r, r)
+        for du, dv, dw in itertools.product(*(range(-r, r + 1) for r in reach))
         if (du, dv, dw) > (0, 0, 0) and (d := cu * du * du + dv * dv + cw * dw * dw) <= threshold
     )
+    return reach, offsets
 
 
 def verify(config: Configuration) -> ContactReport:
@@ -131,14 +131,15 @@ def verify(config: Configuration) -> ContactReport:
     genuine lattice configuration can do.
 
     Each lifted ball is packed into one integer key, its byte in a box with
-    a margin of _REACH on every axis, so a key moved by an offset names the
-    position moved by it.  With ``lanes`` the box read as an integer, 1 at
-    each ball, ``lanes & lanes >> 8*delta`` shows a pair at offset delta, and
-    ``lanes`` shifted both ways by every contact offset sums to each ball's
-    degree in its byte, at most 18, so no byte carries.  So when any pair
-    lies within contact distance, the smallest offset hit is the minimum
-    scaled distance.  When no pair does, or the box would exceed
-    _LANE_BYTES, one loop over all pairs takes the minimum and the degrees.
+    the threshold's reach on each axis as its margin (see _close_offsets), so
+    a key moved by an offset names the position moved by it.  With ``lanes``
+    the box read as an integer, 1 at each ball, ``lanes & lanes >> 8*delta``
+    shows a pair at offset delta, and ``lanes`` shifted both ways by every
+    contact offset sums to each ball's degree in its byte, at most 18, so no
+    byte carries.  So when any pair lies within contact distance, the
+    smallest offset hit is the minimum scaled distance.  When no pair does,
+    or the box would exceed _LANE_BYTES, one loop over all pairs takes the
+    minimum and the degrees.
     """
     _check_duplicates(config.balls)
     _check_layers(config.lattice, config.balls)
@@ -151,12 +152,13 @@ def verify(config: Configuration) -> ContactReport:
     low = math.inf
     if n >= 2:
         us, vs, ws = zip(*lifted)
-        su, sv, sw = (max(c) - min(c) + 2 * _REACH + 1 for c in (us, vs, ws))
+        (ru, rv, rw), close = _close_offsets(cu, cw, threshold)
+        su, sv, sw = (max(c) - min(c) + 2 * r + 1 for c, r in ((us, ru), (vs, rv), (ws, rw)))
         size = su * sv * sw
         if size <= _LANE_BYTES:
-            base = ((_REACH - min(us)) * sv + _REACH - min(vs)) * sw + _REACH - min(ws)
+            base = ((ru - min(us)) * sv + rv - min(vs)) * sw + rw - min(ws)
             keys = [(u * sv + v) * sw + w + base for u, v, w in lifted]
-            offsets = [((du * sv + dv) * sw + dw, d) for du, dv, dw, d in _close_offsets(cu, cw, threshold)]
+            offsets = [((du * sv + dv) * sw + dw, d) for du, dv, dw, d in close]
             buf = bytearray(size)
             for key in keys:
                 buf[key] = 1

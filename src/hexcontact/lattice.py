@@ -16,7 +16,8 @@ the contact and search code read it off their attributes alone:
 * ``form``: the weights (cu, cw), (3, 8) or (1, 2);
 * ``contact``: the form's value for two touching balls, 12 or 4;
 * ``layers``: the layer range (t1, t2), unbounded on the octahedral lattice;
-* ``offsets(k)``: the neighbor offsets from layer k;
+* ``offsets(k)``: the neighbor offsets from layer k, read off ``lift``,
+  ``form`` and ``contact`` once per layer shape;
 * ``gid`` and ``sign``: the grid id and the mirror orientation, -1 and +1 on
   the octahedral lattice;
 * ``descriptor``: the text form, ``hex:t1..t2:<bits>`` or ``oct``, which
@@ -167,36 +168,31 @@ def enumerate_grids(t1: int, t2: int, normalize: bool = True) -> list[EpsilonSeq
     return [seq for seq in seqs if not normalize or _orientation(seq) == 1]
 
 
-# Horizontal neighbor offsets within one hexagonal layer.
-_IN_LAYER_OFFSETS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
-
-# Horizontal neighbor offsets across one layer step, keyed by the step's
-# shift change ds (+1 or -1).  Derived from the scaled metric: these are the
-# only integer (di, dj) whose lifted difference has 3*du^2 + dv^2 = 4.
-_STEP_OFFSETS = {
-    1: ((-1, 0), (0, -1), (0, 0)),
-    -1: ((0, 0), (0, 1), (1, 0)),
-}
-
-
 @cache
-def _layer_offsets(down: int, up: int) -> tuple[Point, ...]:
-    """Neighbor offsets (di, dj, dk) from a hexagonal layer, sorted by (dk,
-    di, dj), whose steps down and up change the shift by ``down`` and ``up``:
-    +1, -1, or 0 where the layer range ends.  9 shapes in all."""
-    return (
-        *((di, dj, -1) for di, dj in _STEP_OFFSETS.get(down, ())),
-        *((di, dj, 0) for di, dj in _IN_LAYER_OFFSETS),
-        *((di, dj, 1) for di, dj in _STEP_OFFSETS.get(up, ())),
+def _contact_offsets(lattice: Lattice, k: int) -> tuple[Point, ...]:
+    """The offsets (di, dj, dk), sorted by (dk, di, dj), from (0, 0, k) to the
+    points at contact distance in |di|, |dj| <= 2, a box that holds them all,
+    and |dk| <= isqrt(contact // cw) = 1, omitting those outside ``layers``."""
+    t1, t2 = lattice.layers
+    reach = math.isqrt(lattice.contact // lattice.form[1])
+    return tuple(
+        (di, dj, dk)
+        for dk in range(-reach, reach + 1)
+        if t1 <= k + dk <= t2
+        for di in range(-2, 3)
+        for dj in range(-2, 3)
+        if scaled_sq_dist(lattice, (0, 0, k), (di, dj, k + dk)) == lattice.contact
     )
 
 
-# The twelve octahedral neighbor offsets, sorted by (dz, dx, dy).
-_OCT_OFFSETS = (
-    (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1),
-    (-1, 0, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0),
-    (-1, -1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1),
-)
+@cache
+def _step_offsets(down: int, up: int) -> tuple[Point, ...]:
+    """Neighbor offsets from a hexagonal layer whose steps down and up change
+    the shift by ``down`` and ``up``: +1, -1, or 0 where the layer range
+    ends.  9 shapes in all, each read off layer 0 of the smallest grid with
+    those steps."""
+    seq = EpsilonSeq(-abs(down), abs(up), tuple(s for s in (down, up) if s))
+    return _contact_offsets(Hexagonal(seq), 0)
 
 
 class Hexagonal(_Frozen):
@@ -249,7 +245,7 @@ class Hexagonal(_Frozen):
         s = seq.shift(k)
         down = seq.shift(k - 1) - s if k > seq.t1 else 0
         up = seq.shift(k + 1) - s if k < seq.t2 else 0
-        return _layer_offsets(down, up)
+        return _step_offsets(down, up)
 
     def lift(self, p: Point) -> Point:
         """(i, j, k) lifts to (2i + j + s, 3j + s, k), s the shift of layer k;
@@ -279,7 +275,7 @@ class Octahedral(_Frozen):
 
     def offsets(self, k: int) -> tuple[Point, ...]:
         """The twelve neighbor offsets, the same from every layer."""
-        return _OCT_OFFSETS
+        return _contact_offsets(self, 0)
 
     def lift(self, p: Point) -> Point:
         """(x, y, z) lifts to (2x + z, 2y + z, z); the center is (u, v, w*sqrt2)."""

@@ -38,6 +38,7 @@ maximizer.
 from __future__ import annotations
 
 import csv
+import os
 import random
 from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -439,7 +440,8 @@ def greedy_sweep(
     the prefix property.  Winners are reduced by contacts descending, then grid
     id ascending, then restart index ascending, independent of execution
     order, so results are reproducible with any worker count.  ``workers``
-    0 means one worker per core.
+    0 means one worker per core.  A pool starts all its processes at once,
+    so no more are started than there are tasks or cores.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -458,11 +460,9 @@ def greedy_sweep(
         for r in range(restarts + 1)
         for sub in subtrees
     ]
-    if workers == 0:
-        import os
-
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
+    cores = os.cpu_count() or 1
+    workers = min(workers or cores, len(tasks), cores)
+    if workers > 1:
         # imported here: the pool pulls in multiprocessing, which one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 

@@ -195,8 +195,8 @@ def test_lanes_and_loop_agree_on_grown_configs(cfg):
 @pytest.mark.parametrize("lattice, far", [
     (OCT, ((10**9, 0, 0), (0, 10**9, 0), (0, 0, 10**9))),
     (UP_GRID, ((10**9, 0, 0), (0, -10**9, 0), (-10**9, 10**9, 4))),
-    # lifted (21400, 0, 0) away: a box of 49 * 21407 = 1,048,943 bytes
-    (OCT, ((10_700, 0, 0),)),
+    # lifted (69902, 0, 0) away: a box of 5 * 3 * 69907 = 1,048,605 bytes
+    (OCT, ((34_951, 0, 0),)),
 ], ids=["oct", "hex", "oct-just-past-the-cap"])
 def test_spread_input_takes_the_all_pairs_loop(lattice, far, lane_boxes):
     balls = (*far, (0, 0, 0), (1, 0, 0))
@@ -218,10 +218,10 @@ def test_spread_input_of_two_greedy_runs_takes_the_all_pairs_loop(lattice, lane_
 
 
 def test_spread_just_under_the_cap_takes_the_lane_box(lane_boxes):
-    # lifted (21380, 0, 0) away: a box of 49 * 21387 = 1,047,963 bytes
-    report = verify(Configuration(OCT, ((10_690, 0, 0), (0, 0, 0), (1, 0, 0))))
+    # lifted (69900, 0, 0) away: a box of 5 * 3 * 69905 = 1,048,575 bytes
+    report = verify(Configuration(OCT, ((34_950, 0, 0), (0, 0, 0), (1, 0, 0))))
     assert report == ContactReport(3, 1, (0, 1, 1), 4)
-    assert lane_boxes == [1_047_963]
+    assert lane_boxes == [1_048_575]
 
 
 def test_list_balls_become_tuples():

@@ -270,6 +270,58 @@ def brute_neighbors(lattice, p):
     return sorted(hits)
 
 
+# Neighbor offsets tabulated by hand, the reference for the offsets the
+# lattices derive from their metric.  Horizontal offsets within one
+# hexagonal layer, and across one layer step keyed by the step's shift
+# change ds (+1 or -1).
+IN_LAYER_OFFSETS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
+STEP_OFFSETS = {
+    1: ((-1, 0), (0, -1), (0, 0)),
+    -1: ((0, 0), (0, 1), (1, 0)),
+}
+# The twelve octahedral neighbor offsets, sorted by (dz, dx, dy).
+OCT_OFFSETS = (
+    (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1),
+    (-1, 0, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0),
+    (-1, -1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1),
+)
+
+
+def tabulated_layer_offsets(down, up):
+    """The tabulated offsets from a hexagonal layer whose steps down and up
+    change the shift by ``down`` and ``up`` (0 where the range ends)."""
+    return (
+        *((di, dj, -1) for di, dj in STEP_OFFSETS.get(down, ())),
+        *((di, dj, 0) for di, dj in IN_LAYER_OFFSETS),
+        *((di, dj, 1) for di, dj in STEP_OFFSETS.get(up, ())),
+    )
+
+
+class TestDerivedOffsets:
+    def test_hexagonal_offsets_equal_the_table_for_all_nine_shapes(self):
+        shapes = set()
+        for t1, t2 in [(-2, 2), (0, 1), (-1, 0), (0, 0)]:
+            for seq in enumerate_grids(t1, t2, normalize=False):
+                lat = Hexagonal(seq)
+                for k in range(t1, t2 + 1):
+                    down = seq.shift(k - 1) - seq.shift(k) if k > t1 else 0
+                    up = seq.shift(k + 1) - seq.shift(k) if k < t2 else 0
+                    shapes.add((down, up))
+                    assert lat.offsets(k) == tabulated_layer_offsets(down, up), (seq, k)
+        assert shapes == set(itertools.product((-1, 0, 1), repeat=2))
+
+    def test_octahedral_offsets_equal_the_table(self):
+        assert all(OCT.offsets(k) == OCT_OFFSETS for k in (-7, 0, 3))
+
+    def test_no_offset_on_the_rim_of_the_enumeration_box(self):
+        # The derivation scans |di|, |dj| <= 2; a neighbor on that rim would
+        # leave open whether one lies beyond it.
+        lattices = [OCT, *(Hexagonal(s) for s in enumerate_grids(-1, 1, normalize=False))]
+        for lat in lattices:
+            for k in (-1, 0, 1):
+                assert all(abs(di) < 2 and abs(dj) < 2 for di, dj, _ in lat.offsets(k))
+
+
 class TestNeighbors:
     @pytest.mark.parametrize("gid", range(0, 32, 5))
     def test_twelve_regular_interior(self, gid):

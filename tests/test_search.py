@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import math
+import os
 
 import pytest
 from reference import incremental_delta, neighbors
@@ -128,6 +130,37 @@ class TestGreedySweep:
         serial = greedy_sweep(8, NINE_LAYERS[:6], restarts=1)
         parallel = greedy_sweep(8, NINE_LAYERS[:6], restarts=1, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("restarts", [1, 9], ids=["2-tasks", "10-tasks"])
+    @pytest.mark.parametrize("workers", [0, 1, 2, 3, 500])
+    def test_pool_starts_at_most_one_process_per_task_and_core(self, monkeypatch, restarts, workers):
+        # One task per restart: the six grids share one run.
+        grids, tasks, cores = NINE_LAYERS[:6], restarts + 1, 4
+        pools = []
+
+        class InlinePool:
+            """Records the pool's size and maps in this process: no process starts."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                self.tasks = list(items)
+                return map(fn, self.tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        records = greedy_sweep(8, grids, restarts=restarts, workers=workers)
+        assert records == greedy_sweep(8, grids, restarts=restarts, workers=1)
+        expected = min(workers or cores, tasks, cores)
+        assert [(p.max_workers, len(p.tasks)) for p in pools] == ([(expected, tasks)] if expected > 1 else [])
 
     def test_workers_none_rejected(self):
         with pytest.raises(TypeError):
