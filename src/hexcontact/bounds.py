@@ -125,8 +125,16 @@ def literature_best(n: int) -> int | None:
     value or formula."""
     candidates = [t[n].value for t in (KNOWN_CONTACTS, VERIFIED_CONTACTS) if n in t]
     if n >= 1:
-        # n = (2k^3 + k)/3 puts the cube root of 3n/2 within 1/(6k) above k
-        n_k, formula = octahedral_bound(round((1.5 * n) ** (1 / 3)))
+        # The k-th packing's (2k^3 + k)/3 balls grow with k and pass n of b
+        # bits by k = 2^(b//3 + 1): bisect for the least k that reaches n
+        lo, hi = 1, 1 << (n.bit_length() // 3 + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if octahedral_bound(mid)[0] < n:
+                lo = mid + 1
+            else:
+                hi = mid
+        n_k, formula = octahedral_bound(lo)
         if n_k == n:
             candidates.append(formula)
     return max(candidates) if candidates else None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import os
 import re
 import sys
@@ -208,18 +209,26 @@ def cmd_export(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"{args.path}: {exc}", file=sys.stderr)
         return 2
-    stem = os.path.splitext(os.path.basename(args.path))[0]
-    if args.format == "csv":
-        out_path = args.output or os.path.join(_outdir(args), f"{stem}.csv")
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    # The text is made before the output opens: a ball too far out for a
+    # float Cartesian coordinate is bad input and leaves no file behind.
+    text = io.StringIO()
+    try:
+        if args.format == "csv":
+            writer = csv.writer(text)
             writer.writerow(["index", "x", "y", "z"])
             for idx, ball in enumerate(config.balls):
                 x, y, z = config.lattice.cartesian(ball)
                 writer.writerow([idx, f"{x:.12f}", f"{y:.12f}", f"{z:.12f}"])
-    else:
-        out_path = args.output or os.path.join(_outdir(args), f"{stem}.jsonl")
-        write_jsonl(config, out_path)
+        else:
+            write_jsonl(config, text)
+    except OverflowError as exc:
+        print(f"{args.path}: no Cartesian coordinates: {exc}", file=sys.stderr)
+        return 2
+    stem = os.path.splitext(os.path.basename(args.path))[0]
+    out_path = args.output or os.path.join(_outdir(args), f"{stem}.{args.format}")
+    # csv writes its own line ends; JSON lines get the platform's, as write_jsonl's
+    with open(out_path, "w", newline="" if args.format == "csv" else None) as fh:
+        fh.write(text.getvalue())
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import os
 import random
+from contextlib import ExitStack
 from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -380,39 +381,20 @@ class SweepRecord(NamedTuple):
     restarts_used: int
 
 
-# Per-n winner of part of a sweep: (contacts, (grid id, restart, input index),
-# placed keys).  Contacts descending, then the rank ascending, wins.
-_Winner = tuple[int, tuple[int, int, int], list[int]]
+# A finished run of a sweep task: its rank, the (grid id, restart, input
+# index) of its lowest grid, its contact curve and its placed keys.
+_Run = tuple[tuple[int, int, int], list[int], list[int]]
 
 
-def _best(results: Iterable[list[_Winner | None]], n_max: int) -> list[_Winner | None]:
-    """Per-n winners over per-n winner lists, read one list at a time."""
-    best: list[_Winner | None] = [None] * (n_max + 1)
-    for winners in results:
-        for n in range(1, n_max + 1):
-            w = winners[n]
-            cur = best[n]
-            if cur is None or w[0] > cur[0] or (w[0] == cur[0] and w[1] < cur[1]):  # type: ignore[index]
-                best[n] = w
-    return best
-
-
-def _sweep_subtree(args: tuple[list[_Grid], int, int, int, int]) -> list[_Winner | None]:
-    """Worker: per-n winners of one restart over one top-level subtree of grids."""
-    grids, n_max, restart, base_seed, bound = args
+def _sweep_subtree(args: tuple[list[_Grid], int, int, int]) -> list[_Run]:
+    """Worker: the finished runs of one restart over one top-level subtree of grids."""
+    grids, restart, base_seed, bound = args
     rng = None if restart == 0 else random.Random(base_seed + restart)
-    best = [-1] * (n_max + 1)  # best[n]: the contacts of winners[n]
-    winners: list[_Winner | None] = [None] * (n_max + 1)
+    runs = []
     for run in _walk(_Branch.start(grids, rng), bound):
         rep = min(run.grids, key=lambda g: (g.gid, g.index))
-        rank = (rep.gid, restart, rep.index)
-        curve, placed = run.curve, run.placed
-        for n in range(1, n_max + 1):
-            c = curve[n]
-            if c > best[n] or (c == best[n] and rank < winners[n][1]):  # type: ignore[index]
-                best[n] = c
-                winners[n] = (c, rank, placed)
-    return winners
+        runs.append(((rep.gid, restart, rep.index), run.curve, run.placed))
+    return runs
 
 
 def _subtrees(grids: list[_Grid]) -> list[list[_Grid]]:
@@ -436,12 +418,15 @@ def greedy_sweep(
 
     Restart 0 is the lexicographic run; restart r >= 1 uses seed
     ``base_seed + r``.  Grids share one run until their choices can differ
-    (see :func:`_walk`).  Per-size results are read off the full runs through
-    the prefix property.  Winners are reduced by contacts descending, then grid
-    id ascending, then restart index ascending, independent of execution
-    order, so results are reproducible with any worker count.  ``workers``
-    0 means one worker per core.  A pool starts all its processes at once,
-    so no more are started than there are tasks or cores.
+    (see :func:`_walk`).  Each task, one restart over one top-level subtree
+    of grids, returns its finished runs, each ranked by the (grid id,
+    restart, input index) of its lowest grid.  Per-size results are read off
+    the full runs through the prefix property: the run with the most
+    contacts of n balls wins n, and of those the lowest rank, independent of
+    the order in which tasks finish, so results are reproducible with any
+    worker count.  ``workers`` 0 means one worker per core.  A pool starts
+    all its processes at once, so no more are started than there are tasks
+    or cores.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -455,38 +440,43 @@ def greedy_sweep(
         raise ValueError("workers must be 0 (all cores) or positive")
     by_index = [_Grid(index, g, n_max) for index, g in enumerate(grids)]
     subtrees = _subtrees(by_index)
-    tasks = [
-        (sub, n_max, r, base_seed, horizontal_bound)
-        for r in range(restarts + 1)
-        for sub in subtrees
-    ]
+    tasks = [(sub, r, base_seed, horizontal_bound) for r in range(restarts + 1) for sub in subtrees]
     cores = os.cpu_count() or 1
     workers = min(workers or cores, len(tasks), cores)
-    if workers > 1:
-        # imported here: the pool pulls in multiprocessing, which one worker never needs
-        from concurrent.futures import ProcessPoolExecutor
+    # best[n]: the most contacts of n balls so far; winners[n]: the rank and
+    # keys of the run that has them.  No run has -1 contacts, so the first
+    # run of each size takes it.
+    best = [-1] * (n_max + 1)
+    winners: list[tuple[tuple[int, int, int], list[int]]] = [((0, 0, 0), [])] * (n_max + 1)
+    results: Iterable[list[_Run]] = map(_sweep_subtree, tasks)
+    with ExitStack() as stack:
+        if workers > 1:
+            # imported here: the pool pulls in multiprocessing, which one worker never needs
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            best = _best(pool.map(_sweep_subtree, tasks, chunksize=max(1, len(tasks) // (workers * 4))), n_max)
-    else:
-        best = _best(map(_sweep_subtree, tasks), n_max)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_sweep_subtree, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+        for runs in results:
+            for rank, curve, placed in runs:
+                for n in range(1, n_max + 1):
+                    c = curve[n]
+                    if c > best[n] or (c == best[n] and rank < winners[n][0]):
+                        best[n] = c
+                        winners[n] = (rank, placed)
 
-    # Decode each winning run once, for every size it wins, and free its
-    # keys as soon as those records are made.
-    wins: dict[tuple[int, int, int], list[int]] = {}
+    # Decode each winning run once, for every size it wins.
+    decoded: dict[tuple[int, int, int], tuple[list[Point], str]] = {}
+    records = []
     for n in range(1, n_max + 1):
-        wins.setdefault(best[n][1], []).append(n)  # type: ignore[index]
-    records: dict[int, SweepRecord] = {}
-    for (gid, r, index), sizes in wins.items():
-        balls = by_index[index].balls(best[sizes[0]][2])  # type: ignore[index]
+        rank, placed = winners[n]
+        gid, r, index = rank
         lattice = grids[index]
-        provenance = _provenance(lattice, None if r == 0 else base_seed + r)
-        for n in sizes:
-            c = best[n][0]  # type: ignore[index]
-            best[n] = None
-            config = Configuration(lattice, tuple(balls[:n]), provenance)
-            records[n] = SweepRecord(n, c, gid, config, "greedy", r)
-    return [records[n] for n in range(1, n_max + 1)]
+        if rank not in decoded:
+            decoded[rank] = by_index[index].balls(placed), _provenance(lattice, None if r == 0 else base_seed + r)
+        balls, provenance = decoded[rank]
+        config = Configuration(lattice, tuple(balls[:n]), provenance)
+        records.append(SweepRecord(n, best[n], gid, config, "greedy", r))
+    return records
 
 
 class _WindowFields(NamedTuple):

@@ -167,6 +167,20 @@ class TestLiteratureBest:
             if n not in KNOWN_CONTACTS and n not in VERIFIED_CONTACTS:
                 assert literature_best(n) == sizes.get(n), n
 
+    def test_formula_applies_exactly_at_large_octahedron_sizes(self):
+        # a float cube root of 3n/2 loses k from k = 5 * 10**14 on
+        for k in [5 * 10**14, *(10**e + d for e in range(2, 21) for d in (-1, 0, 1))]:
+            n, contacts = octahedral_bound(k)
+            assert literature_best(n) == contacts, k
+            assert literature_best(n - 1) is None, k
+            assert literature_best(n + 1) is None, k
+
+    def test_sizes_past_the_float_range(self):
+        n, contacts = octahedral_bound(10**134)
+        assert n > 10**400
+        assert literature_best(n) == contacts
+        assert literature_best(10**400) is None
+
 
 class TestCompareTables:
     def test_oct_win_and_tie(self):

@@ -5,9 +5,10 @@ import os
 import pytest
 
 from hexcontact import cli
+from hexcontact.bounds import octahedral_bound
 from hexcontact.cli import main
 from hexcontact.contact import read_jsonl, verify
-from hexcontact.search import read_sweep_csv
+from hexcontact.search import SWEEP_CSV_COLUMNS, read_sweep_csv
 
 
 def run(args, capsys):
@@ -394,6 +395,27 @@ class TestCompareCommand:
         assert code == 2
         assert stderr.startswith("error: ") and "Traceback" not in stderr
 
+    def test_compare_rows_past_the_float_range(self, tmp_path, capsys):
+        # 10**400 is no octahedron size; octa_n is the 10**134-th one
+        octa_n, octa_contacts = octahedral_bound(10**134)
+        paths = {}
+        for kind, far in (("hex", 5), ("oct", 7)):
+            paths[kind] = str(tmp_path / f"sweep_{kind}.csv")
+            rows = [(n, c, "", "greedy", 0, 0) for n, c in ((1, 0), (10**400, far), (octa_n, 3))]
+            with open(paths[kind], "w", newline="") as fh:
+                csv.writer(fh).writerows([SWEEP_CSV_COLUMNS, *rows])
+        out = str(tmp_path / "cmp")
+        code, stdout, stderr = run(["compare", paths["hex"], paths["oct"], "--out", out], capsys)
+        assert (code, stderr.count("\n")) == (0, 1)
+        with open(os.path.join(out, "comparison.csv"), newline="") as fh:
+            rows = [(r["n"], r["winner"], r["literature"], r["literature_beats_both"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            ("1", "tie", "0", "0"),
+            (str(10**400), "oct", "", "0"),
+            (str(octa_n), "tie", str(octa_contacts), "1"),
+        ]
+        assert f"literature beats both at n = {[octa_n]}" in stdout.splitlines()
+
 
 class TestExportCommand:
     def test_csv_has_twelve_decimals(self, tmp_path, capsys):
@@ -417,6 +439,8 @@ class TestExportCommand:
         code, *_ = run(["export", src, "--format", "jsonl", "--output", dest], capsys)
         assert code == 0
         assert verify(read_jsonl(dest)).contacts == verify(read_jsonl(src)).contacts
+        with open(src, "rb") as a, open(dest, "rb") as b:
+            assert a.read() == b.read()
 
     def test_missing_output_dir_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -426,6 +450,20 @@ class TestExportCommand:
         code, _, stderr = run(["export", src, "--output", dest], capsys)
         assert code == 2
         assert stderr.startswith("error: ") and "x.csv" in stderr
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_ball_past_the_float_range_exit_2(self, fmt, tmp_path, capsys):
+        src = str(tmp_path / "far.jsonl")
+        records = [{"lattice": "hex:-1..1:01", "n": 2}, {"index": 0, "i": 0, "j": 0, "k": 0},
+                   {"index": 1, "i": 10**400, "j": 0, "k": 0}]
+        with open(src, "w") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        assert run(["verify", src], capsys)[0] == 0
+        dest = tmp_path / f"out.{fmt}"
+        code, _, stderr = run(["export", src, "--format", fmt, "--output", str(dest)], capsys)
+        assert code == 2
+        assert stderr.startswith(f"{src}: ") and stderr.count("\n") == 1
+        assert not dest.exists()
 
 
 def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys):

@@ -162,6 +162,34 @@ class TestGreedySweep:
         expected = min(workers or cores, tasks, cores)
         assert [(p.max_workers, len(p.tasks)) for p in pools] == ([(expected, tasks)] if expected > 1 else [])
 
+    @pytest.mark.parametrize("grids, restarts", [(NINE_LAYERS, 2), ([OCT], 8)], ids=["hex", "oct"])
+    def test_reduction_ignores_the_order_results_arrive_in(self, monkeypatch, grids, restarts):
+        # Every task of the oct sweep is one run, and all runs tie at small
+        # n: a rule that broke ties by arrival would take restart 8 there.
+        pools = []
+
+        class ReversingPool:
+            """Maps in this process and returns the results last task first."""
+
+            def __init__(self, max_workers):
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return reversed([fn(item) for item in items])
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        records = greedy_sweep(40, grids, restarts=restarts, workers=2)
+        assert len(pools) == 1
+        assert records == greedy_sweep(40, grids, restarts=restarts, workers=1)
+        assert records[0].restarts_used == 0
+
     def test_workers_none_rejected(self):
         with pytest.raises(TypeError):
             greedy_sweep(3, [OCT], workers=None)
