@@ -31,6 +31,7 @@ from .contact import (
 from .lattice import OCT, Hexagonal, Lattice, enumerate_grids
 from .search import (
     FrontierExhaustedError,
+    SweepRecord,
     Window,
     exhaustive_column,
     greedy_sweep,
@@ -185,10 +186,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_sweep(path: str, kind: str) -> list[SweepRecord]:
+    """The records of the ``kind`` sweep CSV at ``path``.  Raises ValueError
+    at the first row whose grid names the other kind; blank grids pass."""
+    records = read_sweep_csv(path)
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            grid = (row["grid"] or "").strip()
+            if grid and (grid == "oct") != (kind == "oct"):
+                raise ValueError(f"{path}: line {lineno}: grid {grid} in the {kind} sweep; "
+                                 "compare takes the hex sweep, then the oct sweep")
+    return records
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
-        hex_records = read_sweep_csv(args.hex_csv)
-        oct_records = read_sweep_csv(args.oct_csv)
+        hex_records = _read_sweep(args.hex_csv, "hex")
+        oct_records = _read_sweep(args.oct_csv, "oct")
         rows = bounds.compare_tables(hex_records, oct_records)
     except (OSError, ValueError) as exc:
         print(f"compare failed: {exc}", file=sys.stderr)

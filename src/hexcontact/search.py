@@ -9,8 +9,8 @@ are exactly the run of length n.
 
 The tie keys are orientation-adjusted coordinates (k, s*i, s*j) where s is
 the grid's mirror orientation.  A grid and its sign-flipped twin therefore
-produce mirror-image runs with identical contact counts, so sweeping only the
-grids of orientation +1 loses nothing.
+make one run, decoded as mirror images with identical contact counts, so
+sweeping only the grids of orientation +1 loses nothing.
 
 A run stores each point as one packed integer, its key tuple written as the
 digits of a mixed-radix number; :class:`_Grid` alone encodes, moves and
@@ -20,12 +20,13 @@ rules pick the same point, with the same random draw, as they would on the
 tuples.  A sweep keeps its runs packed, and decodes a run to grid
 coordinates only when it wins some size.
 
-A run reads its grid only through the neighbor offsets of the layers its
-balls reach, so grids that agree on those make the same run.  A sweep
-therefore starts one shared run per kind and orientation, and copies it,
-frontier and random state, only when the grids sharing it could choose
-differently (see :func:`_walk`).  The frontier is bucketed by contact
-count, so a step finds its best candidates without a full scan.
+A run reads its grid only through the key deltas, the oriented neighbor
+moves, of the layers its balls reach, so grids that agree on those make the
+same run.  A sweep therefore starts one shared run per set of start-layer
+moves, and copies it, frontier and random state, only when the grids
+sharing it could choose differently (see :func:`_walk`).  The frontier is
+bucketed by contact count, so a step finds its best candidates without a
+full scan.
 
 The exact search is a Russian Doll Search over a finite coordinate window
 in (k, i, j) point order.  It needs no published value: it solves every
@@ -94,12 +95,12 @@ _Deltas = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 @cache
 def _key_deltas(offsets: tuple[Point, ...], sign: int, stride: int) -> _Deltas:
-    """The key deltas of offsets (di, dj, dk), split by dk.  Cached, so grids
-    with equal offsets share one triple."""
+    """The key deltas of offsets (di, dj, dk), split by dk, each part sorted:
+    the triple depends only on the set of oriented moves, and is cached."""
     split: tuple[list[int], list[int], list[int]] = ([], [], [])
     for di, dj, dk in offsets:
         split[dk + 1].append((dk * stride + sign * di) * stride + sign * dj)
-    down, same, up = split
+    down, same, up = map(sorted, split)
     return tuple(down), tuple(same), tuple(up)
 
 
@@ -266,13 +267,12 @@ def _walk(branch: _Branch, bound: int) -> Iterator[_Branch]:
     """Run ``branch`` to the size its grids were made for, depth first over
     its forks.
 
-    All grids of a branch share one orientation.  A ball that reaches a layer
-    whose offsets differ among them splits them into parts (see
-    :func:`_reach`), but the run goes on as one, each part counting the
-    points of the unreached layer apart.  A part forks into a copy of the
-    run when its largest such count reaches the top count, the first step
-    at which its ties can differ.  Yields each finished run, which serves
-    all its grids.
+    A ball that reaches a layer whose key deltas differ among its grids
+    splits them into parts (see :func:`_reach`), but the run goes on as one,
+    each part counting the points of the unreached layer apart.  A part
+    forks into a copy of the run when its largest such count reaches the top
+    count, the first step at which its ties can differ.  Yields each
+    finished run, which serves all its grids.
     """
     rng, counts, buckets = branch.rng, branch.counts, branch.buckets
     placed, curve, layers = branch.placed, branch.curve, branch.layers
@@ -398,11 +398,11 @@ def _sweep_subtree(args: tuple[list[_Grid], int, int, int]) -> list[_Run]:
 
 
 def _subtrees(grids: list[_Grid]) -> list[list[_Grid]]:
-    """Grids grouped by kind, orientation and start-layer key deltas: the
-    top-level subtrees of a sweep, which share no greedy step."""
-    parts: dict[object, list[_Grid]] = {}
+    """Grids grouped by start-layer key deltas: the top-level subtrees of a
+    sweep, which share no greedy step."""
+    parts: dict[_Deltas, list[_Grid]] = {}
     for g in grids:
-        parts.setdefault((type(g.lattice), g.sign, g.deltas(0)), []).append(g)
+        parts.setdefault(g.deltas(0), []).append(g)
     return list(parts.values())
 
 

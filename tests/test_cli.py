@@ -383,6 +383,23 @@ class TestCompareCommand:
         assert code == 2
         assert stderr == f"compare failed: {hex_csv}: line 3: {message}\n"
 
+    @pytest.mark.parametrize("first, second, bad, kind", [
+        ("oct", "hex", "oct", "hex"),
+        ("hex", "hex", "hex", "oct"),
+        ("oct", "oct", "oct", "hex"),
+    ], ids=["swapped", "hex-twice", "oct-twice"])
+    def test_compare_rejects_the_wrong_kind(self, tmp_path, capsys, first, second, bad, kind):
+        out = str(tmp_path / "run")
+        run(["sweep", "--layers", "0..1", "--n", "3", "--out", out], capsys)
+        run(["sweep", "--lattice", "oct", "--n", "3", "--out", out], capsys)
+        first, second, bad = (os.path.join(out, f"sweep_{k}.csv") for k in (first, second, bad))
+        code, stdout, stderr = run(["compare", first, second, "--out", out], capsys)
+        grid = "oct" if kind == "hex" else "hex:0..1:1"
+        assert (code, stdout) == (2, "")
+        assert stderr == (f"compare failed: {bad}: line 2: grid {grid} in the {kind} sweep; "
+                          "compare takes the hex sweep, then the oct sweep\n")
+        assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
     def test_uncreatable_out_dir_exit_2(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         run(["sweep", "--layers", "0..1", "--n", "3", "--out", out], capsys)

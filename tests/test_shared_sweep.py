@@ -10,6 +10,7 @@ import functools
 import random
 
 import pytest
+from reference import flipped
 
 from hexcontact import search
 from hexcontact.contact import Configuration
@@ -103,10 +104,9 @@ def shared_runs(lattices, n_max, restart, base_seed=0, bound=0):
     for sub in search._subtrees([search._Grid(i, g, n_max) for i, g in enumerate(lattices)]):
         start = search._Branch.start(sub, restart_rng(restart, base_seed))
         for run in search._walk(start, bound):
-            balls = run.grids[0].balls(run.placed)
             for g in run.grids:
                 assert g.index not in out
-                out[g.index] = (balls, run.curve)
+                out[g.index] = (g.balls(run.placed), run.curve)
     return out
 
 
@@ -128,6 +128,25 @@ def test_all_nine_layer_grids_both_orientations():
     assert_runs_match(ALL_NINE_LAYERS, 60, restarts=2, base_seed=11)
     assert greedy_sweep(60, ALL_NINE_LAYERS, restarts=2, base_seed=11) == reference_sweep(
         60, ALL_NINE_LAYERS, restarts=2, base_seed=11)
+
+
+def test_mirror_twins_share_every_run():
+    # a grid and its mirror twin make the same moves in orientation-adjusted
+    # keys, so keeping both grids of each pair adds no run
+    def subtrees(lattices):
+        return search._subtrees([search._Grid(i, g, 60) for i, g in enumerate(lattices)])
+
+    assert len(subtrees(ALL_NINE_LAYERS)) == len(subtrees(NINE_LAYERS))
+    for r in range(3):
+        normalized, both = (
+            [{g.lattice.seq for g in run.grids}
+             for sub in subtrees(lattices)
+             for run in search._walk(search._Branch.start(sub, restart_rng(r, 11)), 0)]
+            for lattices in (NINE_LAYERS, ALL_NINE_LAYERS)
+        )
+        assert len(both) == len(normalized)
+        for seqs in both:
+            assert {flipped(seq) for seq in seqs} == seqs
 
 
 @pytest.mark.parametrize("layers", [(-1, 1), (0, 3), (-3, 0)])
@@ -239,8 +258,8 @@ def test_grid_balls_invert_keys(lattice):
     grid = search._Grid(0, lattice, 50)
     assert grid.balls([grid.origin]) == [(0, 0, 0)]
     for dk, deltas in zip((-1, 0, 1), grid.deltas(0)):
-        (di, dj, _), d = next(o for o in lattice.offsets(0) if o[2] == dk), deltas[0]
-        assert grid.balls([grid.origin + d]) == [(di, dj, dk)]
+        moves = grid.balls([grid.origin + d for d in deltas])
+        assert set(moves) == {o for o in lattice.offsets(0) if o[2] == dk}
 
 
 # A split is deferred: grids that differ only in the offsets into a layer no
