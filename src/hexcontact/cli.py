@@ -224,7 +224,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         print(f"{args.path}: {exc}", file=sys.stderr)
         return 2
     # The text is made before the output opens: a ball too far out for a
-    # float Cartesian coordinate is bad input and leaves no file behind.
+    # float Cartesian coordinate, or outside the grid's layers, is bad input
+    # and leaves no file behind.
     text = io.StringIO()
     try:
         if args.format == "csv":
@@ -235,7 +236,7 @@ def cmd_export(args: argparse.Namespace) -> int:
                 writer.writerow([idx, f"{x:.12f}", f"{y:.12f}", f"{z:.12f}"])
         else:
             write_jsonl(config, text)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         print(f"{args.path}: no Cartesian coordinates: {exc}", file=sys.stderr)
         return 2
     stem = os.path.splitext(os.path.basename(args.path))[0]

@@ -18,7 +18,11 @@ file from a slice of them.
 
 :func:`read_jsonl` checks the header record with ``json.loads``, then
 matches all ball lines at once against one anchored pattern of the exact
-layout the writer gives them, and converts only the integer coordinates.
+layout the writer gives them, and converts only the integer coordinates,
+each distinct coordinate string once.  The pattern writes the optional
+fraction and exponent of a number as alternatives with an empty branch,
+``(?:...|)``, which ``re`` runs as a plain branch: the equivalent
+``(?:...)?`` costs a general repeat on every number of every line.
 A file in which any ball line differs from that layout, hand-edited or
 written by another program, is decoded line by line with ``json.loads``
 instead, which gives the same configuration or names the bad line.
@@ -268,9 +272,12 @@ def write_jsonl_files(pairs: Iterable[tuple[Configuration, str]]) -> None:
 # numbers follow the JSON grammar with ASCII digits only (``\d`` would take
 # other scripts' digits, which JSON rejects), and the integer parts have at
 # most 640 digits, the lowest limit that Python's int-string conversion can
-# be set to, so ``json.loads`` accepts every line that matches.
+# be set to, so ``json.loads`` accepts every line that matches.  The optional
+# fraction and exponent are written as alternatives with an empty branch,
+# which the ``re`` engine runs as a plain branch where ``(?:...)?`` would
+# cost a general repeat on every number.
 _JSON_INT = r"-?(?:0|[1-9][0-9]{0,639})"
-_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
 _BALL_LINE = re.compile(
     rf'^\{{"index": {_JSON_INT}, "i": ({_JSON_INT}), "j": ({_JSON_INT}), "k": ({_JSON_INT}), '
     rf'"x": {_JSON_NUMBER}, "y": {_JSON_NUMBER}, "z": {_JSON_NUMBER}\}}$',
@@ -294,7 +301,7 @@ def read_jsonl(source: str | IO[str]) -> Configuration:
     if isinstance(source, str):
         with open(source) as fh:
             return read_jsonl(fh)
-    lines = [ln for ln in (raw.strip() for raw in source) if ln]
+    lines = list(filter(None, map(str.strip, source)))
     if not lines:
         raise ValueError("line 1: empty configuration file")
 
@@ -328,7 +335,11 @@ def read_jsonl(source: str | IO[str]) -> Configuration:
     body = "\n".join(lines[1:])
     # With no newline inside a line, each anchored match is one whole line.
     if body.count("\n") == n - 1 and len(matches := _BALL_LINE.findall(body)) == n:
-        balls = [(int(i), int(j), int(k)) for i, j, k in matches]
+        # a sweep file repeats a few coordinate strings: convert each once
+        digits = list(itertools.chain.from_iterable(matches))
+        value = {d: int(d) for d in set(digits)}
+        coords = map(value.__getitem__, digits)
+        balls = list(zip(coords, coords, coords))
     else:
         balls = []
         for lineno, text in enumerate(lines[1:], start=2):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 from hexcontact.contact import Configuration, DuplicateBallError
 from hexcontact.lattice import EpsilonSeq, Hexagonal, scaled_sq_dist
@@ -74,3 +75,20 @@ def all_pairs_report(cfg):
             degrees[i] += 1
             degrees[j] += 1
     return sum(degrees) // 2, tuple(degrees), low
+
+
+# The ball-line pattern with its optional fraction and exponent written as
+# ``(?:...)?`` groups, and a decode with one int() per coordinate: the
+# reference for ``contact._BALL_LINE`` and read_jsonl's one-pass decode.
+_JSON_INT = r"-?(?:0|[1-9][0-9]{0,639})"
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+BALL_LINE = re.compile(
+    rf'^\{{"index": {_JSON_INT}, "i": ({_JSON_INT}), "j": ({_JSON_INT}), "k": ({_JSON_INT}), '
+    rf'"x": {_JSON_NUMBER}, "y": {_JSON_NUMBER}, "z": {_JSON_NUMBER}\}}$',
+    re.MULTILINE,
+)
+
+
+def decode_ball_lines(body):
+    """The balls of every line of ``body`` that matches ``BALL_LINE``."""
+    return [(int(i), int(j), int(k)) for i, j, k in BALL_LINE.findall(body)]

@@ -482,6 +482,19 @@ class TestExportCommand:
         assert stderr.startswith(f"{src}: ") and stderr.count("\n") == 1
         assert not dest.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_ball_outside_the_layer_range_exit_2(self, fmt, tmp_path, capsys):
+        src = str(tmp_path / "high.jsonl")
+        records = [{"lattice": "hex:-1..1:01", "n": 2}, {"index": 0, "i": 0, "j": 0, "k": 0},
+                   {"index": 1, "i": 0, "j": 0, "k": 5}]
+        with open(src, "w") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        dest = tmp_path / f"out.{fmt}"
+        code, _, stderr = run(["export", src, "--format", fmt, "--output", str(dest)], capsys)
+        assert code == 2
+        assert stderr == f"{src}: no Cartesian coordinates: layer 5 outside -1..1\n"
+        assert not dest.exists()
+
 
 def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert cli._parser() is cli._parser()

@@ -5,9 +5,16 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import all_pairs_report, incremental_delta, neighbors, reflect_configuration
+from reference import (
+    BALL_LINE,
+    all_pairs_report,
+    decode_ball_lines,
+    incremental_delta,
+    neighbors,
+    reflect_configuration,
+)
 
 from hexcontact import cli, contact
 from hexcontact.contact import (
@@ -693,6 +700,58 @@ def read_counting_loads(source):
     return config, loads.call_count
 
 
+def read_counting_ints(source, monkeypatch):
+    """read_jsonl's result and how many times the ``contact`` module called
+    ``int`` after the one-pass match.  ``contact.int`` is shadowed from the
+    match on, since the header checks compare types with ``int``."""
+    pattern, calls = contact._BALL_LINE, []
+
+    def counting_int(*args):
+        calls.append(args)
+        return int(*args)
+
+    def findall(body):
+        patch.setattr(contact, "int", counting_int, raising=False)
+        return pattern.findall(body)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(contact, "_BALL_LINE", mock.Mock(findall=findall))
+        config = read_jsonl(source)
+    return config, len(calls)
+
+
+# The pieces of a JSON number, sign + integer part + fraction + exponent, as
+# (valid, invalid) choices.  The valid ones give -0 and a 640-digit integer,
+# the longest the ball-line pattern takes; the invalid ones add "+", leading
+# zeros, 641 digits, non-ASCII digits and cut fractions and exponents.
+PIECES = [
+    (["", "-"], ["+"]),
+    (["0", "7", "42", "1" + "0" * 639], ["00", "07", "1" + "0" * 640, "١", "1١", ""]),
+    (["", ".5", ".05"], [".", ".٥"]),
+    (["", "e5", "E5", "e+5", "E-05"], ["e", "E+", "e١"]),
+]
+BALL_FIELDS = ("index", "i", "j", "k", "x", "y", "z")
+
+
+def number_pieces(field):
+    """PIECES for a field of a ball line: index, i, j and k are integers, so
+    any fraction or exponent is invalid there."""
+    if field in ("x", "y", "z"):
+        return PIECES
+    return PIECES[:2] + [([""], valid[1:] + invalid) for valid, invalid in PIECES[2:]]
+
+
+@st.composite
+def ball_lines(draw):
+    """A ball line in the writer's layout, its numbers joined from valid
+    pieces, perhaps with one piece of one number drawn from the invalid ones."""
+    numbers = [[draw(st.sampled_from(valid)) for valid, _ in number_pieces(f)] for f in BALL_FIELDS]
+    if draw(st.booleans()):
+        at, piece = draw(st.integers(0, len(BALL_FIELDS) - 1)), draw(st.integers(0, len(PIECES) - 1))
+        numbers[at][piece] = draw(st.sampled_from(number_pieces(BALL_FIELDS[at])[piece][1]))
+    return "{" + ", ".join(f'"{f}": {"".join(n)}' for f, n in zip(BALL_FIELDS, numbers)) + "}"
+
+
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
     """Every configuration file of a hex sweep, an oct sweep and a hex and an
@@ -801,3 +860,27 @@ class TestJsonlReader:
         text = written(config)
         assert "e+17" in text
         assert read_counting_loads(io.StringIO(text)) == (config, 1)
+
+    @settings(max_examples=300)
+    @given(st.lists(ball_lines(), min_size=1, max_size=4))
+    def test_ball_line_pattern_matches_reference(self, lines):
+        for body in (*lines, "\n".join(lines)):
+            assert contact._BALL_LINE.findall(body) == BALL_LINE.findall(body)
+        # the lines that match, read as a file, take the one-pass decode
+        kept = [line for line in lines if BALL_LINE.match(line)]
+        text = json.dumps({"lattice": "oct", "n": len(kept)}) + "".join("\n" + line for line in kept)
+        config, loads = read_counting_loads(io.StringIO(text))
+        assert (config.balls, loads) == (tuple(decode_ball_lines("\n".join(kept))), 1)
+        text = json.dumps({"lattice": "oct", "n": len(lines)}) + "".join("\n" + line for line in lines)
+        assert outcome(read_jsonl, text) == outcome(reference_read_jsonl, text)
+
+    @pytest.mark.parametrize("kind", ["hex", "oct"])
+    def test_one_int_per_distinct_coordinate_string(self, swept_configs, kind, tmp_path, monkeypatch):
+        config = swept_configs[kind][-1]
+        path = str(tmp_path / "c200.jsonl")
+        write_jsonl(config, path)
+        distinct = {str(c) for ball in config.balls for c in ball}
+        assert len(config) == 200 and len(distinct) < 3 * 200
+        read, ints = read_counting_ints(path, monkeypatch)
+        assert read == config
+        assert ints <= len(distinct), f"{ints} int() calls for {len(distinct)} distinct coordinates"
