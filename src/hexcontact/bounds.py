@@ -1,6 +1,6 @@
 """Reference data and bound formulas for small-ball contact numbers.
 
-Four bundled tables drive the comparison reports:
+Three bundled tables drive the comparison reports:
 
 * ``KNOWN_CONTACTS``: the best published values of the maximal contact
   number c(n), exact for n <= 19, lower bounds from exhaustive 3x3x3-window
@@ -12,13 +12,15 @@ Four bundled tables drive the comparison reports:
   normalized 9-layer hexagonal grids, n <= 200.  Used as the regression
   reference for our own sweeps; greedy tie-breaking differs between
   implementations, so per-n deltas of a few contacts are expected.
-* ``REFERENCE_OCT_BETTER``: the published cases in which the octahedral
-  greedy beat the hexagonal one, as (hexagonal, octahedral) pairs.
+
+The table functions take curves, n -> best contacts: ``compare_tables``
+joins a hexagonal and an octahedral one, ``delta_vs_reference`` and
+``render_decade_table`` read one.
 
 The closed-form lower bound in :func:`octahedral_bound` comes from an
 explicit family of octahedral-lattice packings: for n = (2k^3 + k)/3 balls it
-guarantees 4k^3 - 6k^2 + 2k contacts.  Only the formula is implemented, not
-the construction.
+guarantees 4k^3 - 6k^2 + 2k contacts.  The construction itself is built and
+verified in ``tests/test_bounds.py`` (``TestOctahedralBound``).
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 import csv
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
-
-from .search import SweepRecord
 
 
 class Status(Enum):
@@ -92,22 +92,6 @@ REFERENCE_GREEDY_HEX: dict[int, int] = {
     for n, v in enumerate((x for row in _REFERENCE_GREEDY_ROWS for x in row), start=1)
 }
 
-REFERENCE_OCT_BETTER: dict[int, tuple[int, int]] = {
-    14: (39, 40),
-    15: (43, 44),
-    57: (227, 228),
-    58: (232, 233),
-    59: (236, 237),
-    176: (810, 811),
-    177: (815, 817),
-    178: (820, 822),
-    179: (825, 828),
-    180: (830, 833),
-    181: (834, 837),
-    182: (839, 841),
-}
-
-
 def octahedral_bound(k: int) -> tuple[int, int]:
     """Lower-bound pair (n, contacts) of the k-th stacked-octahedron packing.
 
@@ -151,21 +135,18 @@ class ComparisonRow(NamedTuple):
     literature_beats_both: bool
 
 
-def compare_tables(
-    hex_records: Sequence[SweepRecord], oct_records: Sequence[SweepRecord]
-) -> list[ComparisonRow]:
-    """Join two sweeps by n and flag where one side, or the literature, wins.
+def compare_tables(hex_values: Mapping[int, int], oct_values: Mapping[int, int]) -> list[ComparisonRow]:
+    """Join two curves, n -> best contacts, by n and flag where one side, or
+    the literature, wins.
 
     A value above the trivial 6n cap, every ball touching at most 12 others,
     is an implementation bug and raises instead of being clipped.
     """
-    hex_by_n = {r.n: r for r in hex_records}
-    oct_by_n = {r.n: r for r in oct_records}
-    if set(hex_by_n) != set(oct_by_n):
+    if hex_values.keys() != oct_values.keys():
         raise ValueError("hexagonal and octahedral sweeps cover different n ranges")
     rows = []
-    for n in sorted(hex_by_n):
-        h, o = hex_by_n[n].best_contacts, oct_by_n[n].best_contacts
+    for n in sorted(hex_values):
+        h, o = hex_values[n], oct_values[n]
         for label, v in (("hexagonal", h), ("octahedral", o)):
             if v > 6 * n:
                 raise ValueError(

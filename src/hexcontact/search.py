@@ -707,7 +707,8 @@ def write_sweep_csv(path: str, records: Iterable[SweepRecord], runtime_ms: int) 
 
 
 def read_sweep_csv(path: str) -> list[SweepRecord]:
-    """Read a sweep CSV back into records (without configurations)."""
+    """Read a sweep CSV back into records (without configurations).  The
+    package never writes one without rows, so a header-only file raises."""
     records = []
     seen: set[int] = set()
     with open(path, newline="") as fh:
@@ -733,4 +734,6 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
             records.append(SweepRecord(n, contacts, gid, None, row["algorithm"], restarts))
+    if not records:
+        raise ValueError(f"{path}: no rows")
     return records

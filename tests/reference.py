@@ -92,3 +92,21 @@ BALL_LINE = re.compile(
 def decode_ball_lines(body):
     """The balls of every line of ``body`` that matches ``BALL_LINE``."""
     return [(int(i), int(j), int(k)) for i, j, k in BALL_LINE.findall(body)]
+
+
+# The published cases in which the octahedral greedy beat the hexagonal one,
+# as n -> (hexagonal, octahedral).
+REFERENCE_OCT_BETTER = {
+    14: (39, 40),
+    15: (43, 44),
+    57: (227, 228),
+    58: (232, 233),
+    59: (236, 237),
+    176: (810, 811),
+    177: (815, 817),
+    178: (820, 822),
+    179: (825, 828),
+    180: (830, 833),
+    181: (834, 837),
+    182: (839, 841),
+}

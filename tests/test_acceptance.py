@@ -11,12 +11,17 @@ import random
 import time
 
 import pytest
-from reference import incremental_delta, is_contact, neighbors, reflect_configuration
+from reference import (
+    REFERENCE_OCT_BETTER,
+    incremental_delta,
+    is_contact,
+    neighbors,
+    reflect_configuration,
+)
 
 from hexcontact.bounds import (
     KNOWN_CONTACTS,
     REFERENCE_GREEDY_HEX,
-    REFERENCE_OCT_BETTER,
     Status,
     compare_tables,
     delta_vs_reference,
@@ -154,7 +159,7 @@ def test_criterion_5_octahedral_advantage(hex_sweep_50, oct_sweep_15):
     assert oct_best[15] >= 44 - 1
     assert oct_elapsed < 60.0
 
-    rows = compare_tables(hex_records[:15], oct_records)
+    rows = compare_tables({r.n: r.best_contacts for r in hex_records[:15]}, oct_best)
     by_n = {r.n: r for r in rows}
     flagged = []
     for n, (hex_target, oct_target) in ((14, (39, 40)), (15, (43, 44))):
@@ -181,15 +186,10 @@ def test_criterion_5_octahedral_advantage(hex_sweep_50, oct_sweep_15):
 def test_criterion_5b_reference_scenario_flags():
     # With the bundled reference values (hex 39/43, oct 40/44) the comparison
     # must flag the octahedral side at exactly n = 14 and 15.
-    from hexcontact.search import SweepRecord
-
     ns = range(13, 17)
-    hex_rows = [SweepRecord(n, REFERENCE_GREEDY_HEX[n], 0, None, "greedy", 0) for n in ns]
-    oct_rows = [
-        SweepRecord(n, REFERENCE_OCT_BETTER.get(n, (0, REFERENCE_GREEDY_HEX[n]))[1], -1, None, "greedy", 0)
-        for n in ns
-    ]
-    rows = compare_tables(hex_rows, oct_rows)
+    hex_values = {n: REFERENCE_GREEDY_HEX[n] for n in ns}
+    oct_values = {n: REFERENCE_OCT_BETTER.get(n, (0, REFERENCE_GREEDY_HEX[n]))[1] for n in ns}
+    rows = compare_tables(hex_values, oct_values)
     assert [r.n for r in rows if r.winner == "oct"] == [14, 15]
     report(5, "octahedral advantage (reference scenario)", "flags exactly n=14,15")
 

@@ -30,7 +30,7 @@ PUBLIC = {
     },
     bounds: {
         "COMPARISON_CSV_COLUMNS", "ComparisonRow", "KNOWN_CONTACTS", "KnownValue",
-        "REFERENCE_GREEDY_HEX", "REFERENCE_OCT_BETTER", "Status", "VERIFIED_CONTACTS",
+        "REFERENCE_GREEDY_HEX", "Status", "VERIFIED_CONTACTS",
         "compare_tables", "delta_vs_reference", "literature_best", "octahedral_bound",
         "render_comparison", "render_decade_table", "write_comparison_csv",
     },
@@ -69,6 +69,23 @@ def defined_names(module):
 @pytest.mark.parametrize("module", list(PUBLIC), ids=lambda m: m.__name__)
 def test_public_names(module):
     assert {n for n in defined_names(module) if not n.startswith("_")} == PUBLIC[module]
+
+
+def test_bounds_imports_no_sibling_module():
+    # bounds holds tables and works on curves, n -> contacts; it needs
+    # nothing from the searches or the lattices
+    with open(bounds.__file__) as fh:
+        tree = ast.parse(fh.read())
+    siblings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        siblings += [name for name in names if name.startswith((".", "hexcontact"))]
+    assert siblings == []
 
 
 def test_package_exports():

@@ -1,9 +1,9 @@
 import pytest
+from reference import REFERENCE_OCT_BETTER
 
 from hexcontact.bounds import (
     KNOWN_CONTACTS,
     REFERENCE_GREEDY_HEX,
-    REFERENCE_OCT_BETTER,
     VERIFIED_CONTACTS,
     Status,
     compare_tables,
@@ -14,8 +14,8 @@ from hexcontact.bounds import (
     render_decade_table,
 )
 from hexcontact.contact import Configuration, verify
-from hexcontact.lattice import parse_descriptor
-from hexcontact.search import SweepRecord
+from hexcontact.lattice import OCT, Hexagonal, enumerate_grids, parse_descriptor
+from hexcontact.search import greedy_sweep
 
 # First maximisers of the exact search on the 48-point window
 # -2..1,-2..1,-1..1 (hexcontact exhaustive --window -2..1,-2..1,-1..1 --n 24..28),
@@ -58,8 +58,14 @@ WINDOW_48_WITNESSES = {
 }
 
 
-def rec(n, contacts):
-    return SweepRecord(n, contacts, 0, None, "greedy", 0)
+def stacked_octahedron(k):
+    """The k-th stacked-octahedron packing on OCT: layer z = -(k-1)..k-1
+    holds the (k - |z|)^2 points x, y in range(a, a + k - |z|), a = max(0, -z)."""
+    balls = []
+    for z in range(-(k - 1), k):
+        a, side = max(0, -z), k - abs(z)
+        balls += [(x, y, z) for x in range(a, a + side) for y in range(a, a + side)]
+    return Configuration(OCT, tuple(balls))
 
 
 class TestKnownValues:
@@ -94,6 +100,12 @@ class TestOctahedralBound:
         for k in range(1, 40):
             assert (2 * k**3 + k) % 3 == 0
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_construction_attains_the_formula(self, k):
+        n, contacts = octahedral_bound(k)
+        report = verify(stacked_octahedron(k))
+        assert (report.n, report.contacts) == (n, contacts)
+
     def test_ratio_to_six_n_grows_monotonically_to_one(self):
         ratios = []
         for k in range(1, 21):
@@ -123,6 +135,18 @@ class TestReferenceTables:
         for n, (hex_value, oct_value) in REFERENCE_OCT_BETTER.items():
             assert REFERENCE_GREEDY_HEX[n] == hex_value
             assert oct_value > hex_value
+
+    def test_exact_values_bound_every_small_table_and_sweep(self):
+        # No packing beats c(n): not the published greedy tables, and not a
+        # short hex or oct sweep of this package.
+        hex_grids = [Hexagonal(s) for s in enumerate_grids(-4, 4, normalize=True)]
+        sweeps = [greedy_sweep(19, grids, restarts=8, base_seed=1) for grids in (hex_grids, [OCT])]
+        for n in range(1, 20):
+            known = KNOWN_CONTACTS[n]
+            assert known.status is Status.EXACT
+            lower = [REFERENCE_GREEDY_HEX[n], *REFERENCE_OCT_BETTER.get(n, ())]
+            lower += [records[n - 1].best_contacts for records in sweeps]
+            assert max(lower) <= known.value, n
 
 
 class TestLiteratureBest:
@@ -184,36 +208,33 @@ class TestLiteratureBest:
 
 class TestCompareTables:
     def test_oct_win_and_tie(self):
-        rows = compare_tables(
-            [rec(14, 39), rec(15, 43), rec(16, 48)],
-            [rec(14, 40), rec(15, 44), rec(16, 48)],
-        )
+        rows = compare_tables({14: 39, 15: 43, 16: 48}, {14: 40, 15: 44, 16: 48})
         assert [r.winner for r in rows] == ["oct", "oct", "tie"]
 
     def test_literature_flag(self):
-        rows = compare_tables([rec(6, 11)], [rec(6, 10)])
+        rows = compare_tables({6: 11}, {6: 10})
         assert rows[0].literature == 12
         assert rows[0].literature_beats_both
 
     def test_no_flag_when_sweep_matches_literature(self):
-        rows = compare_tables([rec(6, 12)], [rec(6, 10)])
+        rows = compare_tables({6: 12}, {6: 10})
         assert not rows[0].literature_beats_both
 
     def test_range_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compare_tables([rec(1, 0)], [rec(1, 0), rec(2, 1)])
+            compare_tables({1: 0}, {1: 0, 2: 1})
 
     def test_cap_violation_raises_instead_of_clipping(self):
         with pytest.raises(ValueError, match="6n"):
-            compare_tables([rec(2, 13)], [rec(2, 1)])
+            compare_tables({2: 13}, {2: 1})
 
     @pytest.mark.parametrize("n", [1, 6, 200])
     def test_cap_is_six_n(self, n):
-        assert compare_tables([rec(n, 6 * n)], [rec(n, 6 * n)])[0].winner == "tie"
+        assert compare_tables({n: 6 * n}, {n: 6 * n})[0].winner == "tie"
         with pytest.raises(ValueError, match="hexagonal sweep reports"):
-            compare_tables([rec(n, 6 * n + 1)], [rec(n, 0)])
+            compare_tables({n: 6 * n + 1}, {n: 0})
         with pytest.raises(ValueError, match="octahedral sweep reports"):
-            compare_tables([rec(n, 0)], [rec(n, 6 * n + 1)])
+            compare_tables({n: 0}, {n: 6 * n + 1})
 
 
 def test_delta_vs_reference():
@@ -230,6 +251,6 @@ class TestRendering:
         assert lines[1].split()[1] == "-"  # no n=0 entry
 
     def test_comparison_rendering(self):
-        rows = compare_tables([rec(14, 39)], [rec(14, 40)])
+        rows = compare_tables({14: 39}, {14: 40})
         text = render_comparison(rows)
         assert "oct" in text and "40" in text

@@ -362,6 +362,19 @@ class TestCompareCommand:
         assert stderr == f"compare failed: {hex_csv}: line 3: repeated n = 1\n"
         assert not os.path.exists(os.path.join(out, "comparison.csv"))
 
+    def test_compare_rejects_header_only_sweeps(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        os.makedirs(out)
+        paths = [os.path.join(out, f"sweep_{kind}.csv") for kind in ("hex", "oct")]
+        for path in paths:
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerow(SWEEP_CSV_COLUMNS)
+        code, stdout, stderr = run(["compare", *paths, "--out", out], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"compare failed: {paths[0]}: no rows\n"
+        assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
     @pytest.mark.parametrize("column, value, message", [
         (0, "-1", "negative n -1"),
         (1, "-1", "negative best_contacts -1"),
