@@ -190,12 +190,11 @@ def _read_sweep(path: str, kind: str) -> dict[int, int]:
     Raises ValueError at the first row whose grid names the other kind;
     blank grids pass."""
     records = read_sweep_csv(path)
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            grid = (row["grid"] or "").strip()
-            if grid and (grid == "oct") != (kind == "oct"):
-                raise ValueError(f"{path}: line {lineno}: grid {grid} in the {kind} sweep; "
-                                 "compare takes the hex sweep, then the oct sweep")
+    # one record per row, so the row's line number is its index from 2
+    for lineno, r in enumerate(records, start=2):
+        if r.grid is not None and (r.grid == OCT) != (kind == "oct"):
+            raise ValueError(f"{path}: line {lineno}: grid {r.grid.descriptor} in the {kind} sweep; "
+                             "compare takes the hex sweep, then the oct sweep")
     return {r.n: r.best_contacts for r in records}
 
 

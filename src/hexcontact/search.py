@@ -371,11 +371,12 @@ def greedy(params: GreedyParams) -> Configuration:
 
 
 class SweepRecord(NamedTuple):
-    """Best result for one configuration size across a sweep."""
+    """Best result for one configuration size across a sweep.  ``grid`` is
+    the winning lattice, or None for a blank grid cell of a read CSV."""
 
     n: int
     best_contacts: int
-    best_grid_id: int
+    grid: Lattice | None
     configuration: Configuration | None
     algorithm: str
     restarts_used: int
@@ -469,13 +470,13 @@ def greedy_sweep(
     records = []
     for n in range(1, n_max + 1):
         rank, placed = winners[n]
-        gid, r, index = rank
+        _, r, index = rank
         lattice = grids[index]
         if rank not in decoded:
             decoded[rank] = by_index[index].balls(placed), _provenance(lattice, None if r == 0 else base_seed + r)
         balls, provenance = decoded[rank]
         config = Configuration(lattice, tuple(balls[:n]), provenance)
-        records.append(SweepRecord(n, best[n], gid, config, "greedy", r))
+        records.append(SweepRecord(n, best[n], lattice, config, "greedy", r))
     return records
 
 
@@ -680,14 +681,14 @@ def exhaustive_column(
     if not grids:
         raise ValueError("grids must be nonempty")
     columns = [
-        (lattice.gid, exhaustive(lattice, window, n, progress=progress)[2])
+        (lattice, exhaustive(lattice, window, n, progress=progress)[2])
         for lattice in unique_window_grids(grids, window)
     ]
     records = []
     for r in range(n + 1):
-        gid, column = max(columns, key=lambda c: (c[1][r][0], -c[0]))
+        lattice, column = max(columns, key=lambda c: (c[1][r][0], -c[0].gid))
         value, config = column[r]
-        records.append(SweepRecord(r, value, gid, config, "exhaustive", 0))
+        records.append(SweepRecord(r, value, lattice, config, "exhaustive", 0))
     return records
 
 
@@ -700,10 +701,8 @@ def write_sweep_csv(path: str, records: Iterable[SweepRecord], runtime_ms: int) 
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_COLUMNS)
         for rec in records:
-            grid = rec.configuration.lattice.descriptor if rec.configuration is not None else ""
-            writer.writerow(
-                [rec.n, rec.best_contacts, grid, rec.algorithm, rec.restarts_used, runtime_ms]
-            )
+            grid = "" if rec.grid is None else rec.grid.descriptor
+            writer.writerow([rec.n, rec.best_contacts, grid, rec.algorithm, rec.restarts_used, runtime_ms])
 
 
 def read_sweep_csv(path: str) -> list[SweepRecord]:
@@ -730,10 +729,10 @@ def read_sweep_csv(path: str) -> list[SweepRecord]:
                 raise ValueError(f"{path}: line {lineno}: repeated n = {n}")
             seen.add(n)
             try:
-                gid = parse_descriptor(row["grid"]).gid if row["grid"] else -1
+                grid = parse_descriptor(row["grid"]) if row["grid"] else None
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            records.append(SweepRecord(n, contacts, gid, None, row["algorithm"], restarts))
+            records.append(SweepRecord(n, contacts, grid, None, row["algorithm"], restarts))
     if not records:
         raise ValueError(f"{path}: no rows")
     return records

@@ -116,6 +116,13 @@ def test_greedy_params_positional_fields():
     assert list(inspect.signature(search.SeededRandom).parameters) == ["seed"]
 
 
+def test_sweep_record_fields():
+    # the CLI and library users read records by field name; the benchmark reads none
+    assert search.SweepRecord._fields == (
+        "n", "best_contacts", "grid", "configuration", "algorithm", "restarts_used",
+    )
+
+
 @pytest.mark.parametrize("module, name", [
     (contact, "read_jsonl"), (search, "write_sweep_csv"), (search, "read_sweep_csv"),
     (bounds, "compare_tables"), (lattice, "scaled_sq_dist"),

@@ -169,6 +169,14 @@ class TestExhaustive:
         assert stderr == f"error: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    def test_window_outside_the_layers_exit_2(self, tmp_path, capsys):
+        code, stdout, stderr = run(
+            ["exhaustive", "--layers", "0..1", "--window", "-1..1,-1..1,-1..1", "--n", "2",
+             "--out", str(tmp_path)], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: window layers (-1, 1) outside grid layers 0..1\n"
+        assert os.listdir(tmp_path) == []
+
     def test_window_cap_refused(self, tmp_path, capsys):
         code, stdout, stderr = run(
             ["exhaustive", "--window", "-5..5,-5..5,-1..1", "--n", "4",
@@ -290,6 +298,18 @@ class TestVerifyCommand:
         assert code == 2
         assert stderr.startswith(f"{path}: line {line}: ")
 
+    @pytest.mark.parametrize("header, ball, message", [
+        ('{"lattice": "oct", "n": 1}', "[0, 0, 0]", "line 2: expected a JSON object"),
+        ('{"lattice": "hex:a..b:01", "n": 0}', "", "line 1: bad layer range in descriptor 'hex:a..b:01'"),
+    ], ids=["list-ball", "bad-layer-range"])
+    def test_malformed_line_exit_2(self, header, ball, message, tmp_path, capsys):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as fh:
+            fh.write(f"{header}\n{ball}\n")
+        code, stdout, stderr = run(["verify", path], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"{path}: {message}\n"
+
     @pytest.mark.parametrize("command", ["verify", "export"])
     @pytest.mark.parametrize("lattice", [5, None, ["oct"]], ids=["int", "null", "list"])
     def test_non_string_lattice_exit_2(self, command, lattice, tmp_path, capsys):
@@ -379,6 +399,7 @@ class TestCompareCommand:
         (0, "-1", "negative n -1"),
         (1, "-1", "negative best_contacts -1"),
         (4, "-1", "negative restarts -1"),
+        (1, "x", "non-integer field"),
         (2, "hex:-1..1:2", "bad sign bits in descriptor 'hex:-1..1:2'"),
     ])
     def test_compare_rejects_bad_field(self, tmp_path, capsys, column, value, message):
@@ -395,6 +416,35 @@ class TestCompareCommand:
             ["compare", hex_csv, os.path.join(out, "sweep_oct.csv"), "--out", out], capsys)
         assert code == 2
         assert stderr == f"compare failed: {hex_csv}: line 3: {message}\n"
+
+    def test_compare_rejects_missing_columns(self, tmp_path, capsys):
+        path = str(tmp_path / "short.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([("n", "best_contacts", "grid"), (1, 0, "oct")])
+        code, stdout, stderr = run(["compare", path, path, "--out", str(tmp_path / "cmp")], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"compare failed: {path}: missing columns ['algorithm', 'restarts']\n"
+        assert not os.path.exists(tmp_path / "cmp")
+
+    @pytest.mark.parametrize("blank", ["hex", "oct"])
+    def test_blank_grids_pass_in_either_slot(self, tmp_path, capsys, blank):
+        out = str(tmp_path / "run")
+        run(["sweep", "--layers", "0..1", "--n", "6", "--out", out], capsys)
+        run(["sweep", "--lattice", "oct", "--n", "6", "--out", out], capsys)
+        paths = [os.path.join(out, f"sweep_{kind}.csv") for kind in ("hex", "oct")]
+        code, stdout, _ = run(["compare", *paths, "--out", out], capsys)
+        assert code == 0
+        with open(os.path.join(out, "comparison.csv"), "rb") as fh:
+            expected = fh.read()
+        sweep = os.path.join(out, f"sweep_{blank}.csv")
+        with open(sweep, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(sweep, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0], *([*r[:2], "", *r[3:]] for r in rows[1:])])
+        cmp = str(tmp_path / "blank")
+        assert run(["compare", *paths, "--out", cmp], capsys)[:2] == (0, stdout)
+        with open(os.path.join(cmp, "comparison.csv"), "rb") as fh:
+            assert fh.read() == expected
 
     @pytest.mark.parametrize("first, second, bad, kind", [
         ("oct", "hex", "oct", "hex"),
@@ -526,6 +576,21 @@ def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert [r.restarts_used for r in records] == [0, 0, 0, 0]
     assert all(name.startswith("c") and ":-1..1:" in name
                for name in os.listdir(c) if name.endswith(".jsonl"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--layers", "4", "--n", "3"], "argument --layers: expected LO..HI, got '4'"),
+    (["exhaustive", "--window", "-1..1,-1..1", "--n", "2"],
+     "argument --window: expected I..I,J..J,K..K, got '-1..1,-1..1'"),
+    (["exhaustive", "--window", "1..0,0..0,0..0", "--n", "0"], "argument --window: empty interval 1..0"),
+], ids=["layers", "window-parts", "window-interval"])
+def test_malformed_range_exits_2(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:  # rejected by the argument parser
+        main([*argv, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_unknown_command_exits_2(capsys):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import itertools
 import math
 import os
@@ -100,19 +101,19 @@ class TestGreedySweep:
         records = greedy_sweep(1, NINE_LAYERS, restarts=3)
         # every run scores 0 at n=1, so the lowest grid id and restart 0 win
         assert records[0].best_contacts == 0
-        assert records[0].best_grid_id == NINE_LAYERS[0].gid
+        assert records[0].grid == NINE_LAYERS[0]
         assert records[0].restarts_used == 0
 
     def test_reduction_independent_of_grid_order(self):
         fwd = greedy_sweep(10, NINE_LAYERS[:10], restarts=1)
         rev = greedy_sweep(10, list(reversed(NINE_LAYERS[:10])), restarts=1)
-        assert [(r.best_contacts, r.best_grid_id, r.restarts_used) for r in fwd] == [
-            (r.best_contacts, r.best_grid_id, r.restarts_used) for r in rev
+        assert [(r.best_contacts, r.grid, r.restarts_used) for r in fwd] == [
+            (r.best_contacts, r.grid, r.restarts_used) for r in rev
         ]
 
     def test_octahedral_grid_id_sentinel(self):
         records = greedy_sweep(3, [OCT])
-        assert records[0].best_grid_id == -1
+        assert records[0].grid.gid == -1
 
     def test_deterministic_sweep_reference_spots(self):
         # the lexicographic-only sweep lands exactly on the bundled reference
@@ -123,8 +124,20 @@ class TestGreedySweep:
         assert records[13].best_contacts == 39
 
     def test_rejects_empty_grid_list(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^grids must be nonempty$"):
             greedy_sweep(5, [])
+
+    @pytest.mark.parametrize("grids, restarts", [(NINE_LAYERS, 2), ([OCT], 8)], ids=["hex", "oct"])
+    def test_read_csv_writes_back_whole(self, grids, restarts, tmp_path):
+        # each record read back holds its grid, so a read sweep writes the
+        # same n, contacts, grid, algorithm and restarts
+        first, second = str(tmp_path / "first.csv"), str(tmp_path / "second.csv")
+        write_sweep_csv(first, greedy_sweep(30, grids, restarts=restarts, base_seed=1), 5)
+        write_sweep_csv(second, read_sweep_csv(first), 9)
+        with open(first, newline="") as a, open(second, newline="") as b:
+            rows, back = list(csv.reader(a)), list(csv.reader(b))
+        assert [row[:5] for row in back] == [row[:5] for row in rows]
+        assert all(row[2] for row in back)
 
     def test_worker_count_does_not_change_results(self):
         serial = greedy_sweep(8, NINE_LAYERS[:6], restarts=1)
@@ -450,6 +463,10 @@ class TestExhaustiveSweep:
     def test_octahedral_dedupes_to_one(self):
         assert unique_window_grids([OCT, OCT], WINDOW_333) == [OCT]
 
+    def test_rejects_empty_grid_list(self):
+        with pytest.raises(ValueError, match="^grids must be nonempty$"):
+            exhaustive_column(WINDOW_333, 2, [])
+
     @pytest.mark.parametrize("layers, window, distinct", [
         ((-2, 2), WINDOW_333, 4),
         ((-1, 2), Window((-2, 1), (-1, 1), (0, 1)), 2),
@@ -477,14 +494,14 @@ class TestExhaustiveSweep:
         path = str(tmp_path / "sweep.csv")
         write_sweep_csv(path, [rec], 0)
         (back,) = read_sweep_csv(path)
-        assert back.best_grid_id == rec.best_grid_id >= 0
+        assert back.grid == rec.grid and rec.grid.gid >= 0
 
     @pytest.mark.parametrize("n", [0, 1, 4, 13, 21, 27])
     def test_column_equals_single_sizes(self, column_333, n):
         grids = [Hexagonal(s) for s in enumerate_grids(-1, 1)]
         single, rec = exhaustive_column(WINDOW_333, n, grids)[n], column_333[n]
         assert rec.n == single.n == n
-        assert (rec.best_contacts, rec.best_grid_id) == (single.best_contacts, single.best_grid_id)
+        assert (rec.best_contacts, rec.grid) == (single.best_contacts, single.grid)
         assert rec.configuration == single.configuration
 
     def test_reproduces_the_published_table(self, column_333):

@@ -94,7 +94,7 @@ def reference_sweep(n_max, grids, restarts=0, base_seed=0, bound=0):
         c, gid, r, balls, lattice = best[n]
         tag = "lex" if r == 0 else f"seed={base_seed + r}"
         config = Configuration(lattice, tuple(balls[:n]), f"greedy:{tag}:grid={lattice.descriptor}")
-        records.append(SweepRecord(n, c, gid, config, "greedy", r))
+        records.append(SweepRecord(n, c, lattice, config, "greedy", r))
     return records
 
 

@@ -37,7 +37,7 @@ MAKE = {
     "ContactReport": lambda: ContactReport(2, 1, (1, 1), 12),
     "SeededRandom": lambda: SeededRandom(7),
     "GreedyParams": lambda: GreedyParams(Hexagonal(EpsilonSeq(0, 1, (1,))), 5, SeededRandom(7), 2),
-    "SweepRecord": lambda: SweepRecord(2, 1, 2, config(), "greedy", 0),
+    "SweepRecord": lambda: SweepRecord(2, 1, config().lattice, config(), "greedy", 0),
     "Window": lambda: Window((-1, 1), (0, 1), (-1, 0)),
     "KnownValue": lambda: KnownValue(6, Status.EXACT, "survey"),
     "ComparisonRow": lambda: ComparisonRow(4, 6, 6, "tie", 6, False),
